@@ -530,8 +530,3 @@ def conv3d(x: Tensor, kernels: Tensor, stride=1, padding=0) -> Tensor:
     if squeeze:
         out = out[0]
     return _make("conv3d", out, (x, kernels), bwd)
-
-
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from a scalar loss on the active tape."""
-    _active_tape.backward(loss)

@@ -119,7 +119,7 @@ def cmd_gen_synth(args) -> int:
                 vec = ",".join(repr(float(v)) for v in abund[r, col])
                 lines.append(f"{domain},{r},{col},{cube.labels[r, col]},{vec}")
     (out / "abund.csv").write_text("\n".join(lines) + "\n")
-    (out / "resolved-config.txt").write_text(resolved_text(synth=spec))
+    (out / "resolved-config.txt").write_text(resolved_text(spec))
     print(f"wrote source/target cubes ({source.height}x{source.width}x{source.bands}) "
           f"and abundance truth to {out}")
     return EXIT_OK
@@ -130,23 +130,24 @@ def cmd_train(args) -> int:
     target = read_cube(_require_file(args.target, "target cube"))
     if source.labels is None:
         raise ConfigError(f"source cube {args.source} has no sibling label file")
-    cfg = RunConfig(args.config, args.set) if (args.config or args.set) \
-        else RunConfig(None, [])
-    train_cfg = cfg.train_config()
+    cfg = RunConfig(args.config, args.set)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.resume:
+        # settings start from the checkpoint's; the keys given override them
         state = load_checkpoint(_require_file(args.resume, "checkpoint"))
         if state.model_cfg.bands != source.bands:
             raise DataMismatchError(
                 f"checkpoint expects {state.model_cfg.bands} bands, "
                 f"source has {source.bands}")
+        cfg.check_model(state.model_cfg)
+        train_cfg = cfg.train_config(state.train_cfg)
     else:
+        train_cfg = cfg.train_config()
         model_cfg = cfg.model_config(bands=source.bands,
                                      num_classes=source.num_classes())
         state = ModelState(model_cfg, train_cfg, seed=train_cfg.seed)
-    (out / "resolved-config.txt").write_text(
-        resolved_text(model_cfg=state.model_cfg, train_cfg=train_cfg))
+    (out / "resolved-config.txt").write_text(resolved_text(state.model_cfg, train_cfg))
     rows = train(state, source, target, train_cfg)
     save_checkpoint(state, out / "model.pctl")
     (out / "metrics.csv").write_text(format_metrics_csv(rows))
@@ -206,14 +207,12 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     source = read_cube(_require_file(args.source, "source cube"))
     target = read_cube(_require_file(args.target, "target cube"))
-    cfg = RunConfig(args.config, args.set) if (args.config or args.set) \
-        else RunConfig(None, [])
+    cfg = RunConfig(args.config, args.set)
     train_cfg = cfg.train_config()
     model_cfg = cfg.model_config(bands=source.bands, num_classes=source.num_classes())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved-config.txt").write_text(
-        resolved_text(model_cfg=model_cfg, train_cfg=train_cfg))
+    (out / "resolved-config.txt").write_text(resolved_text(model_cfg, train_cfg))
     rows = run_ablation(model_cfg, train_cfg, source, target, variants=args.variants)
     header = ("variant,source_oa,source_aa,source_kappa,"
               "target_oa,target_aa,target_kappa")

@@ -14,7 +14,7 @@ closed form.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -203,8 +203,10 @@ class SynthSpec:
     concentration_peak: float = 10.0  # Dirichlet weight of each class's own component
     concentration_base: float = 0.3   # Dirichlet weight of every other component
     envelope_weight: float = 0.0      # shared-envelope vs own-shape blend in the basis
-    concentrations: np.ndarray = None  # [classes, abundance_dim] Dirichlet params
-    basis: np.ndarray = None           # optional source basis [c, L], rows in [0, 1]
+    # [classes, abundance_dim] Dirichlet params and an optional source basis
+    # [c, L] with rows in [0, 1]; no config key sets them
+    concentrations: np.ndarray = field(default=None, metadata={"settable": False})
+    basis: np.ndarray = field(default=None, metadata={"settable": False})
 
     def __post_init__(self):
         if self.classes < 2:

@@ -23,6 +23,10 @@ ENTROPY_EPS = 1e-12
 # Sigmoid saturates to exactly 0/1 in float64; the head output is pinched
 # into the open interval so downstream powers stay differentiable.
 U_CLIP = 1e-12
+# Checkpoints store a choice as its index in these tuples: append, never reorder.
+# Stick transform "printed": v = u^(1/beta); "standard": v = 1-(1-u)^(1/beta).
+STICK_TRANSFORMS = ("printed", "standard")
+BETA_MODES = ("learnable", "fixed")
 
 
 @dataclass
@@ -30,8 +34,8 @@ class EncoderConfig:
     bands: int
     abundance_dim: int
     hidden_widths: Optional[list[int]] = None
-    stick_transform: str = "printed"   # "printed": v = u^(1/beta); "standard": v = 1-(1-u)^(1/beta)
-    beta_mode: str = "learnable"       # or "fixed"
+    stick_transform: str = "printed"
+    beta_mode: str = "learnable"
     beta_init: float = 1.0
     beta_shared: bool = False
 
@@ -40,9 +44,9 @@ class EncoderConfig:
             raise ConfigError("abundance_dim must be at least 2")
         if self.bands < 1:
             raise ConfigError("bands must be at least 1")
-        if self.stick_transform not in ("printed", "standard"):
+        if self.stick_transform not in STICK_TRANSFORMS:
             raise ConfigError(f"unknown stick_transform {self.stick_transform!r}")
-        if self.beta_mode not in ("learnable", "fixed"):
+        if self.beta_mode not in BETA_MODES:
             raise ConfigError(f"unknown beta_mode {self.beta_mode!r}")
         if self.beta_init <= 0:
             raise ConfigError("beta_init must be positive")

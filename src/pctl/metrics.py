@@ -1,9 +1,8 @@
 """Classification metrics and the rank-2 projection used for visualization.
 
-The projection is a hand-rolled one-sided Jacobi SVD on the mean-centered
-point matrix: plane rotations orthogonalize the columns, the column norms
-become singular values, and the accumulated rotations give the right singular
-vectors. A deterministic sign convention keeps exported coordinates stable.
+The projection maps the mean-centered points onto their top two right
+singular vectors. A deterministic sign convention keeps exported coordinates
+stable.
 """
 
 from __future__ import annotations
@@ -84,39 +83,6 @@ def oa_aa_kappa(cm: ConfusionMatrix):
 
 # -- rank-2 SVD projection ----------------------------------------------------
 
-def _jacobi_svd(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
-    """One-sided Jacobi SVD: returns singular values (desc) and V."""
-    a = matrix.astype(np.float64).copy()
-    d = a.shape[1]
-    v = np.eye(d)
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                app = a[:, p] @ a[:, p]
-                aqq = a[:, q] @ a[:, q]
-                apq = a[:, p] @ a[:, q]
-                if abs(apq) <= tol * np.sqrt(app * aqq) or apq == 0.0:
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) \
-                    if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if not rotated:
-            break
-    sv = np.sqrt((a * a).sum(axis=0))
-    order = np.argsort(-sv, kind="stable")
-    return sv[order], v[:, order]
-
-
 def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
     out = v.copy()
@@ -136,23 +102,8 @@ def svd_project_2d(points: np.ndarray) -> np.ndarray:
     centered = points - points.mean(axis=0)
     if not np.any(centered):
         raise ContractError("projection input has rank 0 (all points identical)")
-    _, v = _jacobi_svd(centered)
-    return centered @ _fix_signs(v[:, :2])
-
-
-def rank2_residual(points: np.ndarray) -> float:
-    """Squared Frobenius error of the rank-2 reconstruction."""
-    points = np.asarray(points, dtype=np.float64)
-    centered = points - points.mean(axis=0)
-    sv, v = _jacobi_svd(centered)
-    approx = (centered @ v[:, :2]) @ v[:, :2].T
-    return float(((centered - approx) ** 2).sum())
-
-
-def singular_values(points: np.ndarray) -> np.ndarray:
-    centered = np.asarray(points, dtype=np.float64) - np.mean(points, axis=0)
-    sv, _ = _jacobi_svd(centered)
-    return sv
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    return centered @ _fix_signs(vt[:2].T)
 
 
 # -- cross-domain overlap -------------------------------------------------------

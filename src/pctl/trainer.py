@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import struct
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .classifier import (
     encode_patches,
     extract_patches,
 )
+from .config import ModelConfig, TrainConfig, config_records, from_records
 from .data import HsiCube, split_labels
 from .decoder import AffineDecoder, DecoderConfig, PlainDecoder, reconstruction_loss
 from .encoder import Encoder, EncoderConfig, sparse_loss
@@ -52,65 +52,6 @@ CHECKPOINT_VERSION = 1
 
 ABLATION_VARIANTS = ("classifier-only", "shared-decoder", "affine-decoder",
                      "sparse", "full")
-
-
-@dataclass
-class ModelConfig:
-    """Architecture description; everything needed to rebuild the network."""
-
-    bands: int
-    num_classes: int
-    abundance_dim: int
-    encoder_hidden: Optional[list[int]] = None
-    stick_transform: str = "printed"
-    beta_mode: str = "learnable"
-    beta_shared: bool = False
-    per_band_affine: bool = True
-    mi_hidden: int = 13
-    patch_size: int = 11
-    block_channels: list[int] = field(default_factory=lambda: [12, 32, 12, 12, 30])
-    dropout_rate: float = 0.5
-
-
-@dataclass
-class TrainConfig:
-    """Optimization schedule, loss weights, and ablation switches."""
-
-    alpha: float = 0.001          # sparsity weight
-    mi_weight: float = 0.1        # weight on the negated MI bound
-    learning_rate: float = 1e-3
-    batch_recon: int = 256
-    batch_class: int = 64
-    epochs: int = 200
-    steps_per_epoch: int = 1
-    seed: int = 0
-    label_fraction: float = 0.05
-    eval_every: int = 10
-    eval_samples: int = 128
-    classifier_only: bool = False
-    shared_decoder_only: bool = False
-    no_sparse: bool = False
-    no_mi: bool = False
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.mi_weight < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if self.epochs < 0 or self.steps_per_epoch < 1:
-            raise ConfigError("epochs must be >= 0 and steps_per_epoch >= 1")
-        if self.classifier_only and self.shared_decoder_only:
-            raise ConfigError("classifier_only already removes the decoder")
-
-    @property
-    def use_reconstruction(self) -> bool:
-        return not self.classifier_only
-
-    @property
-    def use_sparse(self) -> bool:
-        return self.use_reconstruction and not self.no_sparse
-
-    @property
-    def use_mi(self) -> bool:
-        return self.use_reconstruction and not self.no_mi
 
 
 class ModelState:
@@ -242,14 +183,6 @@ def compute_losses(state: ModelState, x_source: np.ndarray, x_target: np.ndarray
     return total, parts
 
 
-def total_loss(state: ModelState, x_source: np.ndarray, x_target: np.ndarray,
-               patches: np.ndarray, patch_labels: np.ndarray,
-               cfg: TrainConfig, mi_seed: int = 0) -> Tensor:
-    loss, _ = compute_losses(state, x_source, x_target, patches, patch_labels,
-                             cfg, mi_seed)
-    return loss
-
-
 # -- training loop ----------------------------------------------------------------
 
 def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig):
@@ -262,7 +195,19 @@ def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig)
     A fresh state (step 0) that is about to train first initializes its
     decoder from the two unlabeled cubes; see ``AffineDecoder.initialize``.
     A resumed state, or a run with zero epochs, is left as it is.
+
+    ``cfg`` must ask for the modules the state was built with; it becomes the
+    state's ``train_cfg``, which the checkpoint stores.
     """
+    def modules(c):
+        return c.use_reconstruction, c.shared_decoder_only, c.use_mi
+    built = state.train_cfg
+    if modules(cfg) != modules(built):
+        raise ConfigError(
+            f"the model state was built with classifier_only={built.classifier_only}, "
+            f"shared_decoder_only={built.shared_decoder_only} and no_mi={built.no_mi}; "
+            "training cannot change its modules")
+    state.train_cfg = cfg
     if source.labels is None:
         raise ContractError("source cube must carry labels")
     if source.bands != state.model_cfg.bands or target.bands != state.model_cfg.bands:
@@ -469,33 +414,10 @@ def format_metrics_csv(rows) -> str:
 
 # -- checkpointing -------------------------------------------------------------------
 
-def _config_records(state: ModelState):
-    mc, tc = state.model_cfg, state.train_cfg
-    enc_widths = np.asarray(state.encoder.cfg.hidden_widths, dtype=np.float64)
-    return [
-        ("cfg.bands", np.float64(mc.bands)),
-        ("cfg.num_classes", np.float64(mc.num_classes)),
-        ("cfg.abundance_dim", np.float64(mc.abundance_dim)),
-        ("cfg.encoder_hidden", enc_widths),
-        ("cfg.stick_transform", np.float64(mc.stick_transform == "standard")),
-        ("cfg.beta_mode", np.float64(mc.beta_mode == "fixed")),
-        ("cfg.beta_shared", np.float64(mc.beta_shared)),
-        ("cfg.per_band_affine", np.float64(mc.per_band_affine)),
-        ("cfg.mi_hidden", np.float64(mc.mi_hidden)),
-        ("cfg.patch_size", np.float64(mc.patch_size)),
-        ("cfg.block_channels", np.asarray(mc.block_channels, dtype=np.float64)),
-        ("cfg.dropout_rate", np.float64(mc.dropout_rate)),
-        ("cfg.classifier_only", np.float64(tc.classifier_only)),
-        ("cfg.shared_decoder_only", np.float64(tc.shared_decoder_only)),
-        ("cfg.no_mi", np.float64(tc.no_mi)),
-        ("cfg.seed", np.float64(tc.seed)),
-        ("step", np.float64(state.step)),
-    ]
-
-
 def save_checkpoint(state: ModelState, path) -> None:
     """magic, version byte, then length-prefixed (name, shape, float64) records."""
-    records = _config_records(state)
+    records = config_records(state.model_cfg) + config_records(state.train_cfg)
+    records += [("step", np.float64(state.step))]
     records += [(name, t.data) for name, t in state.parameters()]
     records += [(f"buf.{name}", b) for name, b in state.buffers()]
     records += [(f"adam.m.{name}", m) for name, m in sorted(state.adam_m.items())]
@@ -545,27 +467,9 @@ def load_checkpoint(path) -> ModelState:
     """Rebuild a ModelState whose forward outputs match the saved one exactly."""
     rec = _read_records(path)
     try:
-        model_cfg = ModelConfig(
-            bands=int(rec["cfg.bands"]),
-            num_classes=int(rec["cfg.num_classes"]),
-            abundance_dim=int(rec["cfg.abundance_dim"]),
-            encoder_hidden=[int(w) for w in np.atleast_1d(rec["cfg.encoder_hidden"])],
-            stick_transform="standard" if rec["cfg.stick_transform"] else "printed",
-            beta_mode="fixed" if rec["cfg.beta_mode"] else "learnable",
-            beta_shared=bool(rec["cfg.beta_shared"]),
-            per_band_affine=bool(rec["cfg.per_band_affine"]),
-            mi_hidden=int(rec["cfg.mi_hidden"]),
-            patch_size=int(rec["cfg.patch_size"]),
-            block_channels=[int(c) for c in np.atleast_1d(rec["cfg.block_channels"])],
-            dropout_rate=float(rec["cfg.dropout_rate"]),
-        )
-        train_cfg = TrainConfig(
-            classifier_only=bool(rec["cfg.classifier_only"]),
-            shared_decoder_only=bool(rec["cfg.shared_decoder_only"]),
-            no_mi=bool(rec["cfg.no_mi"]),
-            seed=int(rec["cfg.seed"]),
-        )
-        state = ModelState(model_cfg, train_cfg, seed=int(rec["cfg.seed"]))
+        model_cfg = from_records(ModelConfig, rec)
+        train_cfg = from_records(TrainConfig, rec)
+        state = ModelState(model_cfg, train_cfg, seed=train_cfg.seed)
         state.step = int(rec["step"])
         for name, t in state.parameters():
             t.data = rec[name].reshape(t.data.shape).copy()
@@ -578,7 +482,7 @@ def load_checkpoint(path) -> ModelState:
                 state.adam_v[name].shape).copy()
     except KeyError as exc:
         raise ParseError(f"{path}: checkpoint is missing record {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, IndexError) as exc:
         raise ParseError(f"{path}: a record does not fit the model the "
                          f"checkpoint describes: {exc}") from exc
     return state

@@ -5,7 +5,6 @@ import pytest
 from pctl.autodiff import (
     Tensor,
     absolute,
-    backward,
     clamp,
     concat,
     conv3d,
@@ -239,7 +238,7 @@ class TestBackward:
             with no_grad():
                 out = reduce_sum(w * w)
             with pytest.raises(ContractError):
-                backward(out)
+                out.backward()
 
     def test_unreachable_leaf_keeps_no_grad(self):
         w = Tensor([1.0], requires_grad=True)

@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from pctl.cli import main
-from pctl.config import RunConfig
-from pctl.data import HsiCube, read_cube, read_labels, write_cube, write_labels
+from pctl.config import ModelConfig, RunConfig, resolved_text, settable
+from pctl.data import HsiCube, SynthSpec, read_cube, read_labels, write_cube, write_labels
 from pctl.errors import ConfigError
 from pctl.trainer import ModelState, TrainConfig, load_checkpoint, predict
 
@@ -35,13 +37,16 @@ def scene(tmp_path_factory):
     return root
 
 
+def train_cmd(scene, out, *args):
+    return main(["train", "--source", str(scene / "data/source.hsic"),
+                 "--target", str(scene / "data/target.hsic"),
+                 "--out", str(out)] + list(args))
+
+
 @pytest.fixture(scope="module")
 def trained(scene):
     out = scene / "run"
-    code = main(["train", "--source", str(scene / "data/source.hsic"),
-                 "--target", str(scene / "data/target.hsic"),
-                 "--out", str(out)] + TRAIN_OVERRIDES)
-    assert code == 0
+    assert train_cmd(scene, out, *TRAIN_OVERRIDES) == 0
     return out
 
 
@@ -60,6 +65,13 @@ class TestGenSynth:
 
     def test_same_seed_regenerates_identical_bytes(self, scene, tmp_path):
         spec = scene / "synth.cfg"
+        assert main(["gen-synth", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+        for name in ("source.hsic", "source.hsil", "target.hsic", "abund.csv"):
+            assert (tmp_path / name).read_bytes() == \
+                (scene / "data" / name).read_bytes(), name
+
+    def test_resolved_config_regenerates_identical_bytes(self, scene, tmp_path):
+        spec = scene / "data" / "resolved-config.txt"
         assert main(["gen-synth", "--spec", str(spec), "--out", str(tmp_path)]) == 0
         for name in ("source.hsic", "source.hsil", "target.hsic", "abund.csv"):
             assert (tmp_path / name).read_bytes() == \
@@ -113,6 +125,38 @@ class TestTrain:
         b = load_checkpoint(out / "model.pctl")
         cube = read_cube(scene / "data/target.hsic")
         npt.assert_array_equal(predict(a, cube), predict(b, cube))
+
+    def test_resolved_config_reproduces_the_run(self, scene, trained, tmp_path):
+        out = tmp_path / "again"
+        assert train_cmd(scene, out, "--config",
+                         str(trained / "resolved-config.txt")) == 0
+        for name in ("model.pctl", "metrics.csv", "resolved-config.txt"):
+            assert (out / name).read_bytes() == (trained / name).read_bytes(), name
+
+    @pytest.mark.parametrize("flag", ["train.no_mi=true", "train.classifier_only=true"])
+    def test_resume_with_default_flags_keeps_the_checkpoints_settings(
+            self, scene, tmp_path, flag):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert train_cmd(scene, first, *TRAIN_OVERRIDES, "--set", flag,
+                         "--set", "train.epochs=1") == 0
+        assert train_cmd(scene, second, "--resume", str(first / "model.pctl")) == 0
+        before = load_checkpoint(first / "model.pctl")
+        after = load_checkpoint(second / "model.pctl")
+        assert after.step == 2
+        assert after.train_cfg == before.train_cfg
+        assert after.model_cfg == before.model_cfg
+
+    @pytest.mark.parametrize("flag", ["train.no_mi=false", "model.patch_size=5"])
+    def test_resume_with_a_conflicting_setting_exits_2(self, scene, tmp_path,
+                                                       capsys, flag):
+        first = tmp_path / "first"
+        assert train_cmd(scene, first, *TRAIN_OVERRIDES,
+                         "--set", "train.no_mi=true") == 0
+        capsys.readouterr()
+        assert train_cmd(scene, tmp_path / "second", "--resume",
+                         str(first / "model.pctl"), "--set", flag) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_divergence_exits_3(self, scene, tmp_path, capsys):
         import warnings
@@ -265,3 +309,24 @@ class TestRunConfig:
     def test_abundance_dim_defaults_to_classes_plus_two(self):
         cfg = RunConfig(None, [])
         assert cfg.model_config(bands=30, num_classes=4).abundance_dim == 6
+
+    def test_settable_keys_are_the_dataclass_fields(self):
+        def names(cls):
+            return {f.name for f in fields(cls)}
+        assert set(settable(TrainConfig)) == names(TrainConfig)
+        assert set(settable(ModelConfig)) == names(ModelConfig) - {"bands", "num_classes"}
+        assert set(settable(SynthSpec)) == names(SynthSpec) - {"concentrations", "basis"}
+        assert [len(settable(c)) for c in (TrainConfig, ModelConfig, SynthSpec)] == \
+            [15, 10, 11]
+
+    def test_resolved_text_reads_back(self, tmp_path):
+        model_cfg = ModelConfig(bands=30, num_classes=4, stick_transform="standard",
+                                encoder_hidden=[9, 5], dropout_rate=0.1)
+        train_cfg = TrainConfig(learning_rate=3e-4, no_sparse=True)
+        spec = SynthSpec(scale=np.linspace(0.5, 0.9, 40), offset=np.float64(0.2))
+        path = tmp_path / "resolved.txt"
+        path.write_text(resolved_text(model_cfg, train_cfg, spec))
+        cfg = RunConfig(path)
+        assert cfg.model_config(bands=30, num_classes=4) == model_cfg
+        assert cfg.train_config() == train_cfg
+        assert resolved_text(cfg.synth_spec()) == resolved_text(spec)

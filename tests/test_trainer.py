@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import pctl.trainer
 from pctl.classifier import extract_patches
 from pctl.data import SynthSpec, generate_synthetic_pair
 from pctl.errors import ConfigError, DataMismatchError, DivergenceError, ParseError
@@ -60,6 +63,15 @@ class TestConfigs:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             variant_flags("bogus")
+
+    def test_training_cannot_change_the_modules(self):
+        source, target, _ = tiny_scene()
+        state = ModelState(tiny_model(), tiny_train(no_mi=True), seed=3)
+        with pytest.raises(ConfigError, match="no_mi=True"):
+            train(state, source, target, tiny_train())
+        cfg = tiny_train(no_mi=True, epochs=1, learning_rate=1e-2)
+        train(state, source, target, cfg)
+        assert state.train_cfg == cfg
 
 
 class TestLossComposition:
@@ -279,6 +291,42 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.pctl"
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_configs_survive_round_trip(self, tmp_path):
+        model_cfg = tiny_model(stick_transform="standard", beta_mode="fixed",
+                               beta_shared=True, per_band_affine=False,
+                               mi_hidden=7, dropout_rate=0.25)
+        common = dict(alpha=0.002, mi_weight=0.2, learning_rate=2e-3, batch_recon=16,
+                      batch_class=4, epochs=1, steps_per_epoch=2, seed=3,
+                      label_fraction=0.3, eval_every=3, eval_samples=9,
+                      no_sparse=True, no_mi=True)
+        cfgs = [TrainConfig(**common, shared_decoder_only=True),
+                TrainConfig(**common, classifier_only=True)]
+        for f in fields(TrainConfig):
+            assert any(getattr(c, f.name) != getattr(TrainConfig(), f.name)
+                       for c in cfgs), f.name
+        for cfg in cfgs:
+            state = ModelState(model_cfg, cfg, seed=cfg.seed)
+            path = tmp_path / "m.pctl"
+            save_checkpoint(state, path)
+            loaded = load_checkpoint(path)
+            assert loaded.model_cfg == state.model_cfg
+            assert loaded.train_cfg == state.train_cfg
+
+    def test_missing_train_records_load_as_defaults(self, tmp_path, monkeypatch):
+        # older checkpoints store only these four of the train fields
+        kept = {"cfg.classifier_only", "cfg.shared_decoder_only", "cfg.no_mi", "cfg.seed"}
+        records = pctl.trainer.config_records
+        monkeypatch.setattr(pctl.trainer, "config_records", lambda cfg: [
+            r for r in records(cfg) if not isinstance(cfg, TrainConfig) or r[0] in kept])
+        state = ModelState(tiny_model(), tiny_train(epochs=0, alpha=0.5, no_mi=True),
+                           seed=14)
+        path = tmp_path / "m.pctl"
+        save_checkpoint(state, path)
+        monkeypatch.undo()
+        loaded = load_checkpoint(path)
+        assert loaded.model_cfg == state.model_cfg
+        assert loaded.train_cfg == TrainConfig(seed=9, no_mi=True)
 
     def test_checkpoint_magic(self, tmp_path):
         source, target, _ = tiny_scene()
