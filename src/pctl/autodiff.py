@@ -87,10 +87,6 @@ _active_tape = Tape()
 _grad_enabled = True
 
 
-def active_tape() -> Tape:
-    return _active_tape
-
-
 @contextmanager
 def fresh_tape():
     """Install a new tape for one forward/backward session."""
@@ -137,9 +133,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -463,18 +456,17 @@ def _pad_spec(padding):
     return spec
 
 
-def conv3d(x: Tensor, kernels: Tensor, stride=1, padding=0) -> Tensor:
-    """Cross-correlation over the three trailing axes.
+def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
+    """Cross-correlation over the three trailing axes, at stride 1.
 
-    ``x`` is [batch, c_in, D, H, W] (a 4-D input is treated as batch 1) and
-    ``kernels`` is [c_out, c_in, kd, kh, kw]. Internally the input is moved to
-    channels-last, an im2col matrix is built once, and a single GEMM produces
-    the output; the matrix is retained for the backward pass.
+    ``x`` is [batch, c_in, D, H, W] and ``kernels`` is [c_out, c_in, kd, kh,
+    kw]. Internally the input is moved to channels-last, an im2col matrix is
+    built once, and a single GEMM produces the output; the matrix is retained
+    for the backward pass.
     """
-    squeeze = x.data.ndim == 4
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 5:
-        raise DimensionError(f"conv3d: input must be 4-D or 5-D, got {x.shape}")
+        raise DimensionError(f"conv3d: input must be 5-D, got {x.shape}")
     kd_ = kernels.data
     if kd_.ndim != 5:
         raise DimensionError(f"conv3d: kernels must be 5-D, got {kernels.shape}")
@@ -483,22 +475,18 @@ def conv3d(x: Tensor, kernels: Tensor, stride=1, padding=0) -> Tensor:
     if Ck != Ci:
         raise DimensionError(
             f"conv3d: input channels {Ci} != kernel channels {Ck}")
-    if isinstance(stride, int):
-        stride = (stride, stride, stride)
-    sd, sh, sw = stride
     pads = _pad_spec(padding)
     padded_dims = tuple(size + lo + hi
                         for size, (lo, hi) in zip((D, H, W), pads))
     if any(p < k for p, k in zip(padded_dims, (kd, kh, kw))):
         raise DimensionError(
             f"conv3d: kernel {(kd, kh, kw)} larger than padded input {padded_dims}")
-    Do, Ho, Wo = ((p - k) // s + 1
-                  for p, k, s in zip(padded_dims, (kd, kh, kw), stride))
+    Do, Ho, Wo = (p - k + 1 for p, k in zip(padded_dims, (kd, kh, kw)))
 
     xp = np.pad(xd, ((0, 0), (0, 0), pads[0], pads[1], pads[2]))
     xl = np.ascontiguousarray(xp.transpose(0, 2, 3, 4, 1))  # [N,Dp,Hp,Wp,Ci]
     win = sliding_window_view(xl, (kd, kh, kw), axis=(1, 2, 3))
-    win = win[:, ::sd, ::sh, ::sw]                 # [N,Do,Ho,Wo,Ci,kd,kh,kw]
+    # win is [N,Do,Ho,Wo,Ci,kd,kh,kw]
     cols = win.reshape(N * Do * Ho * Wo, Ci * kd * kh * kw)  # copies once
     kmat = kd_.reshape(Co, Ci * kd * kh * kw).T
     out2 = cols @ kmat
@@ -508,8 +496,6 @@ def conv3d(x: Tensor, kernels: Tensor, stride=1, padding=0) -> Tensor:
     pad_shape = xp.shape
 
     def bwd(g):
-        if squeeze:
-            g = g[None]
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1)).reshape(-1, Co)
         dk = (cols.T @ g2).T.reshape(Co, Ci, kd, kh, kw)
         dcols = (g2 @ kmat.T).reshape(N, Do, Ho, Wo, Ci, kd, kh, kw)
@@ -517,16 +503,10 @@ def conv3d(x: Tensor, kernels: Tensor, stride=1, padding=0) -> Tensor:
         for i in range(kd):
             for j in range(kh):
                 for l in range(kw):
-                    dxl[:, i:i + sd * Do:sd, j:j + sh * Ho:sh, l:l + sw * Wo:sw] += \
-                        dcols[..., i, j, l]
+                    dxl[:, i:i + Do, j:j + Ho, l:l + Wo] += dcols[..., i, j, l]
         dx = dxl.transpose(0, 4, 1, 2, 3)[
             :, :, pads[0][0]:pads[0][0] + D,
             pads[1][0]:pads[1][0] + H, pads[2][0]:pads[2][0] + W]
-        dx = np.ascontiguousarray(dx)
-        if squeeze:
-            dx = dx[0]
-        return (dx, dk)
+        return (np.ascontiguousarray(dx), dk)
 
-    if squeeze:
-        out = out[0]
     return _make("conv3d", out, (x, kernels), bwd)

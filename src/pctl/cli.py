@@ -22,7 +22,6 @@ from .metrics import confusion, domain_overlap_score, oa_aa_kappa, svd_project_2
 from .trainer import (
     ABLATION_VARIANTS,
     ModelState,
-    evaluate,
     format_metrics_csv,
     load_checkpoint,
     predict,

@@ -77,6 +77,8 @@ class TrainConfig:
             raise ConfigError("loss weights must be non-negative")
         if self.epochs < 0 or self.steps_per_epoch < 1:
             raise ConfigError("epochs must be >= 0 and steps_per_epoch >= 1")
+        if min(self.batch_recon, self.batch_class, self.eval_samples) < 1:
+            raise ConfigError("batch_recon, batch_class and eval_samples must be >= 1")
         if self.classifier_only and self.shared_decoder_only:
             raise ConfigError("classifier_only already removes the decoder")
 

