@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DimensionError, DomainError
 
@@ -460,9 +459,15 @@ def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
     """Cross-correlation over the three trailing axes, at stride 1.
 
     ``x`` is [batch, c_in, D, H, W] and ``kernels`` is [c_out, c_in, kd, kh,
-    kw]. Internally the input is moved to channels-last, an im2col matrix is
-    built once, and a single GEMM produces the output; the matrix is retained
-    for the backward pass.
+    kw]. The input is padded once into a channels-last buffer; each of the
+    kd*kh*kw kernel taps then copies its shifted slice of that buffer into one
+    reused [M, c_in] matrix (M = batch * output voxels) and adds one GEMM,
+    K_tap [c_out, c_in] @ slice.T, into the [c_out, M] output. The backward
+    pass keeps only the padded buffer and walks the taps again: the kernel
+    gradient of a tap is g @ slice, and g.T @ K_tap is added into the tap's
+    window of the input gradient. No im2col matrix is built, so the largest
+    allocation is a few times the input and output, whatever the kernel size
+    (Anderson et al., arXiv:1709.03395).
     """
     xd = x.data
     if xd.ndim != 5:
@@ -482,31 +487,43 @@ def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
         raise DimensionError(
             f"conv3d: kernel {(kd, kh, kw)} larger than padded input {padded_dims}")
     Do, Ho, Wo = (p - k + 1 for p, k in zip(padded_dims, (kd, kh, kw)))
+    M = N * Do * Ho * Wo
+    taps = list(np.ndindex(kd, kh, kw))
+    inner = tuple(slice(lo, lo + size) for size, (lo, _) in zip((D, H, W), pads))
 
-    xp = np.pad(xd, ((0, 0), (0, 0), pads[0], pads[1], pads[2]))
-    xl = np.ascontiguousarray(xp.transpose(0, 2, 3, 4, 1))  # [N,Dp,Hp,Wp,Ci]
-    win = sliding_window_view(xl, (kd, kh, kw), axis=(1, 2, 3))
-    # win is [N,Do,Ho,Wo,Ci,kd,kh,kw]
-    cols = win.reshape(N * Do * Ho * Wo, Ci * kd * kh * kw)  # copies once
-    kmat = kd_.reshape(Co, Ci * kd * kh * kw).T
-    out2 = cols @ kmat
+    xl = np.zeros((N, *padded_dims, Ci))
+    xl[(slice(None), *inner)] = xd.transpose(0, 2, 3, 4, 1)
+    kt = np.ascontiguousarray(kd_.transpose(2, 3, 4, 0, 1))  # [kd,kh,kw,Co,Ci]
+    buf = np.empty((N, Do, Ho, Wo, Ci))
+    cols = buf.reshape(M, Ci)
+
+    def window(arr, tap):
+        i, j, l = tap
+        return arr[:, i:i + Do, j:j + Ho, l:l + Wo]
+
+    out2 = np.zeros((Co, M))
+    prod = np.empty((Co, M))
+    for tap in taps:
+        buf[...] = window(xl, tap)
+        np.matmul(kt[tap], cols.T, out=prod)
+        out2 += prod
     out = np.ascontiguousarray(
-        out2.reshape(N, Do, Ho, Wo, Co).transpose(0, 4, 1, 2, 3))
-
-    pad_shape = xp.shape
+        out2.reshape(Co, N, Do, Ho, Wo).transpose(1, 0, 2, 3, 4))
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1)).reshape(-1, Co)
-        dk = (cols.T @ g2).T.reshape(Co, Ci, kd, kh, kw)
-        dcols = (g2 @ kmat.T).reshape(N, Do, Ho, Wo, Ci, kd, kh, kw)
-        dxl = np.zeros((pad_shape[0], pad_shape[2], pad_shape[3], pad_shape[4], Ci))
-        for i in range(kd):
-            for j in range(kh):
-                for l in range(kw):
-                    dxl[:, i:i + Do, j:j + Ho, l:l + Wo] += dcols[..., i, j, l]
-        dx = dxl.transpose(0, 4, 1, 2, 3)[
-            :, :, pads[0][0]:pads[0][0] + D,
-            pads[1][0]:pads[1][0] + H, pads[2][0]:pads[2][0] + W]
-        return (np.ascontiguousarray(dx), dk)
+        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3, 4)).reshape(Co, M)
+        dk = np.empty((kd, kh, kw, Co, Ci))
+        dxl = np.zeros_like(xl)
+        dcols = np.empty((M, Ci))
+        buf = np.empty((N, Do, Ho, Wo, Ci))
+        cols = buf.reshape(M, Ci)
+        for tap in taps:
+            buf[...] = window(xl, tap)
+            np.matmul(g2, cols, out=dk[tap])
+            np.matmul(g2.T, kt[tap], out=dcols)
+            window(dxl, tap)[...] += dcols.reshape(N, Do, Ho, Wo, Ci)
+        dx = dxl[(slice(None), *inner)].transpose(0, 4, 1, 2, 3)
+        return (np.ascontiguousarray(dx),
+                np.ascontiguousarray(dk.transpose(3, 4, 0, 1, 2)))
 
     return _make("conv3d", out, (x, kernels), bwd)

@@ -146,8 +146,8 @@ def cmd_train(args) -> int:
         model_cfg = cfg.model_config(bands=source.bands,
                                      num_classes=source.num_classes())
         state = ModelState(model_cfg, train_cfg, seed=train_cfg.seed)
-    (out / "resolved-config.txt").write_text(resolved_text(state.model_cfg, train_cfg))
     rows = train(state, source, target, train_cfg)
+    (out / "resolved-config.txt").write_text(resolved_text(state.model_cfg, train_cfg))
     save_checkpoint(state, out / "model.pctl")
     (out / "metrics.csv").write_text(format_metrics_csv(rows))
     if rows:
@@ -211,8 +211,8 @@ def cmd_ablate(args) -> int:
     model_cfg = cfg.model_config(bands=source.bands, num_classes=source.num_classes())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved-config.txt").write_text(resolved_text(model_cfg, train_cfg))
     rows = run_ablation(model_cfg, train_cfg, source, target, variants=args.variants)
+    (out / "resolved-config.txt").write_text(resolved_text(model_cfg, train_cfg))
     header = ("variant,source_oa,source_aa,source_kappa,"
               "target_oa,target_aa,target_kappa")
     lines = [header]

@@ -162,6 +162,59 @@ class TestConv3d:
         assert fd_check(lambda: reduce_sum(conv3d(x, k, padding=1) * Tensor(w)),
                         [x, k]) < 1e-5
 
+    # The classifier's kernels: 3x5x5 and 3x1x1 with same padding, and 2x3x3,
+    # whose same padding is asymmetric along depth (abundance_dim = 2).
+    CLASSIFIER_KERNELS = [
+        ((3, 5, 5), ((1, 1), (2, 2), (2, 2))),
+        ((3, 1, 1), ((1, 1), (0, 0), (0, 0))),
+        ((2, 3, 3), ((0, 1), (1, 1), (1, 1))),
+    ]
+
+    @pytest.mark.parametrize("kernel,padding", CLASSIFIER_KERNELS)
+    def test_gradient_at_classifier_kernels(self, kernel, padding):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 2, 4, 5, 5)))
+        k = Tensor(rng.standard_normal((3, 2) + kernel))
+        out = conv3d(x, k, padding=padding)
+        assert out.shape == (2, 3, 4, 5, 5)
+        w = rng.standard_normal(out.shape)
+        assert fd_check(lambda: reduce_sum(conv3d(x, k, padding=padding) * Tensor(w)),
+                        [x, k]) < 1e-5
+
+    @pytest.mark.parametrize("kernel,padding", CLASSIFIER_KERNELS)
+    def test_forward_matches_nested_loops(self, kernel, padding):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2, 3, 4, 5, 5))
+        k = rng.standard_normal((2, 3) + kernel)
+        xp = np.pad(x, ((0, 0), (0, 0)) + padding)
+        want = np.zeros((2, 2, 4, 5, 5))
+        for n, o, d, h, v in np.ndindex(want.shape):
+            for c, i, j, l in np.ndindex((3,) + kernel):
+                want[n, o, d, h, v] += xp[n, c, d + i, h + j, v + l] * k[o, c, i, j, l]
+        got = conv3d(Tensor(x), Tensor(k), padding=padding).data
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_memory_stays_near_the_activations(self):
+        """Forward and backward at the last dense block of a patch-11
+        classifier (69 -> 30 channels, kernel 3x7x7) allocate no im2col
+        matrix: the traced peak stays below 8 times input + output + kernel."""
+        import tracemalloc
+
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 69, 6, 11, 11)), requires_grad=True)
+        k = Tensor(rng.standard_normal((30, 69, 3, 7, 7)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with fresh_tape():
+                out = conv3d(x, k, padding=((1, 1), (3, 3), (3, 3)))
+                reduce_sum(out * out).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape and k.grad.shape == k.shape
+        operands = x.data.nbytes + k.data.nbytes + out.data.nbytes
+        assert peak < 8 * operands, (peak, operands)
+
 
 class TestReductions:
     def test_cumprod_exclusive_prefix(self):

@@ -164,10 +164,12 @@ class TestTrain:
         assert train_cmd(scene, first, *TRAIN_OVERRIDES,
                          "--set", "train.no_mi=true") == 0
         capsys.readouterr()
-        assert train_cmd(scene, tmp_path / "second", "--resume",
+        second = tmp_path / "second"
+        assert train_cmd(scene, second, "--resume",
                          str(first / "model.pctl"), "--set", flag) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not (second / "resolved-config.txt").exists()
 
     def test_divergence_exits_3(self, scene, tmp_path, capsys):
         import warnings
@@ -302,6 +304,7 @@ class TestAblateCommand:
                                     "--target", str(target), "--out", str(out)]
                            + TRAIN_OVERRIDES)
         assert not list(out.glob("model-*.pctl"))
+        assert not (out / "resolved-config.txt").exists()
 
     def test_zero_epochs_exits_2(self, scene, tmp_path, capsys):
         out = tmp_path / "ablate"
@@ -310,6 +313,7 @@ class TestAblateCommand:
                                     "--out", str(out)]
                            + TRAIN_OVERRIDES + ["--set", "train.epochs=0"])
         assert not list(out.glob("model-*.pctl"))
+        assert not (out / "resolved-config.txt").exists()
 
 
 class TestGradcheckCommand:
