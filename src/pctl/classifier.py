@@ -10,39 +10,25 @@ has passed through the shared encoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import Encoder, SimplexBatch
-from .errors import ConfigError, ContractError, DimensionError
+from .encoder import Encoder
+from .errors import ContractError, DimensionError
 from .layers import BatchNorm3d, DenseLayer, Dropout, glorot_uniform, softmax_cross_entropy
 
+if TYPE_CHECKING:
+    from .config import ModelConfig
 
-@dataclass
-class ClassifierConfig:
-    abundance_dim: int
-    num_classes: int
-    patch_size: int = 11
-    block_channels: list[int] = field(default_factory=lambda: [12, 32, 12, 12, 30])
-    dropout_rate: float = 0.5
 
-    def __post_init__(self):
-        if self.patch_size < 1 or self.patch_size % 2 == 0:
-            raise ConfigError("patch_size must be odd so the labeled pixel is centered")
-        if len(self.block_channels) != 5:
-            raise ConfigError("exactly five conv blocks are expected")
-        if self.num_classes < 2:
-            raise ConfigError("need at least two classes")
-
-    @property
-    def kernel(self) -> tuple[int, int, int]:
-        # depth along the abundance axis capped by c, spatial extent by P
-        k_sp = min(7, self.patch_size)
-        return (min(3, self.abundance_dim), k_sp, k_sp)
+def conv_kernel(abundance_dim: int, patch_size: int) -> tuple[int, int, int]:
+    """Every conv block's kernel: 3 x 7 x 7, capped by c along the abundance
+    axis and by P across space."""
+    k_sp = min(7, patch_size)
+    return (min(3, abundance_dim), k_sp, k_sp)
 
 
 def _same_padding(kernel: Sequence[int]):
@@ -72,39 +58,17 @@ class ConvBlock:
             [(f"bn.{n}", t) for n, t in self.bn.parameters()]
 
 
-class AbundancePatch:
-    """Batch of abundance volumes [batch, 1, c, P, P] with simplex columns."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Tensor, validate: bool = True):
-        if values.data.ndim != 5 or values.shape[1] != 1:
-            raise ContractError(
-                f"abundance patches must be [batch, 1, c, P, P], got {values.shape}")
-        if validate:
-            sums = values.data.sum(axis=2)
-            if np.any(values.data < 0.0) or np.any(np.abs(sums - 1.0) > 1e-6):
-                raise ContractError(
-                    "every spatial position must hold a simplex abundance vector")
-        self.values = values
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
 class Classifier3d:
     """Five densely-connected conv blocks, then dropout and a k-way head."""
 
-    def __init__(self, cfg: ClassifierConfig,
-                 rng: Optional[np.random.Generator] = None,
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator,
                  dropout_rng: Optional[np.random.Generator] = None):
-        rng = rng or np.random.default_rng(0)
         self.cfg = cfg
+        kernel = conv_kernel(cfg.abundance_dim, cfg.patch_size)
         self.blocks = []
         in_ch = 1
         for out_ch in cfg.block_channels:
-            self.blocks.append(ConvBlock(in_ch, out_ch, cfg.kernel, rng))
+            self.blocks.append(ConvBlock(in_ch, out_ch, kernel, rng))
             in_ch += out_ch  # dense connectivity: next block also sees this output
         flat = cfg.block_channels[-1] * cfg.abundance_dim * cfg.patch_size ** 2
         self.dropout = Dropout(cfg.dropout_rate, rng=dropout_rng)
@@ -113,12 +77,13 @@ class Classifier3d:
     def input_channels(self, block_index: int) -> int:
         return 1 + sum(self.cfg.block_channels[:block_index])
 
-    def logits(self, patch: AbundancePatch, train: bool) -> Tensor:
-        x = patch.values
+    def logits(self, x: Tensor, train: bool) -> Tensor:
+        """Class scores for abundance patches ``x`` of shape [batch, 1, c, P, P]."""
         c, p = self.cfg.abundance_dim, self.cfg.patch_size
-        if x.shape[2:] != (c, p, p):
+        if x.shape[1:] != (1, c, p, p):
             raise DimensionError(
-                f"patch dims {x.shape} do not match config (c={c}, P={p})")
+                f"abundance patches must be [batch, 1, c={c}, P={p}, P={p}], "
+                f"got {x.shape}")
         feats = [x]
         for block in self.blocks:
             inp = feats[0] if len(feats) == 1 else ad.concat(feats, axis=1)
@@ -173,8 +138,7 @@ def extract_patches(values: np.ndarray, centers, patch_size: int) -> np.ndarray:
     return padded[rows[:, :, None], cols[:, None, :], :]
 
 
-def encode_patches(encoder: Encoder, pixel_patches: np.ndarray,
-                   validate: bool = True) -> AbundancePatch:
+def encode_patches(encoder: Encoder, pixel_patches: np.ndarray) -> Tensor:
     """Push raw pixel patches through the shared encoder, pixel by pixel.
 
     ``pixel_patches`` is [n, P, P, L]; the result stacks the abundances as
@@ -189,17 +153,15 @@ def encode_patches(encoder: Encoder, pixel_patches: np.ndarray,
     abund = encoder.encode(flat).values
     c = abund.shape[1]
     grid = ad.reshape(abund, (n, p, p, c))
-    volume = ad.reshape(ad.transpose(grid, (0, 3, 1, 2)), (n, 1, c, p, p))
-    return AbundancePatch(volume, validate=validate)
+    return ad.reshape(ad.transpose(grid, (0, 3, 1, 2)), (n, 1, c, p, p))
 
 
 def abundance_patches_from_map(abundance_map: np.ndarray, centers,
-                               patch_size: int) -> AbundancePatch:
+                               patch_size: int) -> Tensor:
     """Assemble patches from a precomputed [H, W, c] abundance map.
 
     Inference-only shortcut: encoding is pixel-wise, so encoding the cube once
     and slicing windows matches encoding each patch's pixels individually.
     """
     windows = extract_patches(abundance_map, centers, patch_size)  # [n,P,P,c]
-    volume = np.ascontiguousarray(windows.transpose(0, 3, 1, 2))[:, None]
-    return AbundancePatch(Tensor(volume), validate=False)
+    return Tensor(np.ascontiguousarray(windows.transpose(0, 3, 1, 2))[:, None])

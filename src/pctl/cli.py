@@ -244,6 +244,9 @@ def _labeled_subsample(cube, cap: int, rng):
 def cmd_project2d(args) -> int:
     from .trainer import abundance_map
 
+    if args.max_per_class < 2:
+        # each overlap score divides by a within-class spread, which needs two points
+        raise ConfigError(f"--max-per-class must be >= 2, got {args.max_per_class}")
     state = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     source = read_cube(_require_file(args.source, "source cube"))
     target = read_cube(_require_file(args.target, "target cube"))
@@ -301,6 +304,8 @@ def cmd_inspect_decoder(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     results, ok = run_all(seeds=range(args.seeds))
     for r in results:
         status = "PASS" if r.passed else "FAIL"

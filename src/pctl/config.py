@@ -3,6 +3,10 @@
 ``TrainConfig``, ``ModelConfig`` and ``data.SynthSpec`` are the only list of
 settings: the config keys and their parsers, the resolved-config dump and the
 checkpoint's ``cfg.*`` records all derive from their fields and annotations.
+``ModelConfig`` is also the one description of the network: the encoder,
+decoders, MI discriminator and classifier each take it and read their fields,
+and its ``__post_init__`` holds the model's validation (``layers.Dropout``
+checks its own rate).
 A field marked ``{"settable": False}`` is not a key; the program or a library
 caller fills it in. Records are float64, so a string field of ``ModelConfig``
 or ``TrainConfig`` needs ``{"choices": (...)}`` and is stored as its index.
@@ -29,7 +33,8 @@ class ModelConfig:
     """Architecture description; everything needed to rebuild the network.
 
     ``abundance_dim`` defaults to ``num_classes + 2`` and ``encoder_hidden``
-    to ``default_hidden_widths``; both are resolved on construction.
+    to ``default_hidden_widths``; both are resolved on construction, and then
+    every field is checked.
     """
 
     bands: int = field(metadata={"settable": False})
@@ -48,8 +53,29 @@ class ModelConfig:
     def __post_init__(self):
         if self.abundance_dim is None:
             self.abundance_dim = self.num_classes + 2
+        if self.bands < 1:
+            raise ConfigError("bands must be at least 1")
         if self.encoder_hidden is None:
             self.encoder_hidden = default_hidden_widths(self.bands, self.abundance_dim)
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            if choices and getattr(self, f.name) not in choices:
+                raise ConfigError(f"{f.name} must be one of {', '.join(choices)}, "
+                                  f"got {getattr(self, f.name)!r}")
+        if self.num_classes < 2:
+            raise ConfigError("num_classes must be at least 2")
+        if self.abundance_dim < 2:
+            raise ConfigError("abundance_dim must be at least 2")
+        if self.patch_size < 1 or self.patch_size % 2 == 0:
+            raise ConfigError("patch_size must be odd so the labeled pixel is centered")
+        if len(self.block_channels) != 5:
+            raise ConfigError("block_channels needs exactly five widths, one per conv block")
+        if not self.encoder_hidden:
+            raise ConfigError("encoder_hidden needs at least one width")
+        for name in ("encoder_hidden", "block_channels", "mi_hidden"):
+            if np.min(getattr(self, name)) < 1:
+                raise ConfigError(f"{name} widths must be >= 1, "
+                                  f"got {_format(getattr(self, name))}")
 
 
 @dataclass
@@ -73,10 +99,13 @@ class TrainConfig:
     no_mi: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0 or self.mi_weight < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if self.epochs < 0 or self.steps_per_epoch < 1:
-            raise ConfigError("epochs must be >= 0 and steps_per_epoch >= 1")
+        # every comparison with nan is false, so these forms reject it
+        if not (0 <= self.alpha < np.inf and 0 <= self.mi_weight < np.inf):
+            raise ConfigError("loss weights alpha and mi_weight must be finite and >= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
+        if min(self.epochs, self.eval_every) < 0 or self.steps_per_epoch < 1:
+            raise ConfigError("epochs and eval_every must be >= 0 and steps_per_epoch >= 1")
         if min(self.batch_recon, self.batch_class, self.eval_samples) < 1:
             raise ConfigError("batch_recon, batch_class and eval_samples must be >= 1")
         if self.classifier_only and self.shared_decoder_only:

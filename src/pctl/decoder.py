@@ -9,8 +9,7 @@ the latent abundances can stay domain-invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,15 +19,11 @@ from .errors import DimensionError
 from .encoder import SimplexBatch
 from .layers import DenseLayer
 
+if TYPE_CHECKING:
+    from .config import ModelConfig
+
 # keeps the l2-norm gradient finite at exactly-zero residuals
 NORM_EPS = 1e-24
-
-
-@dataclass
-class DecoderConfig:
-    bands: int
-    abundance_dim: int
-    per_band_affine: bool = True
 
 
 def successive_projections(pixels: np.ndarray, count: int) -> np.ndarray:
@@ -55,8 +50,7 @@ class PlainDecoder:
     ``basis_out.weight`` is M; its rows are endmember spectra.
     """
 
-    def __init__(self, cfg: DecoderConfig, rng: Optional[np.random.Generator] = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.basis_out = DenseLayer(cfg.abundance_dim, cfg.bands, bias=False, rng=rng)
 
@@ -89,7 +83,7 @@ class AffineDecoder(PlainDecoder):
     domains identically.
     """
 
-    def __init__(self, cfg: DecoderConfig, rng: Optional[np.random.Generator] = None):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
         n = cfg.bands if cfg.per_band_affine else 1
         self.src_scale = Tensor(np.ones(n), requires_grad=True)

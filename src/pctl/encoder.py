@@ -9,15 +9,17 @@ which a plain l1 penalty cannot do on sum-to-one vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, DomainError
+from .errors import ContractError, DomainError
 from .layers import DenseLayer
+
+if TYPE_CHECKING:
+    from .config import ModelConfig
 
 ENTROPY_EPS = 1e-12
 # Sigmoid saturates to exactly 0/1 in float64; the head output is pinched
@@ -27,33 +29,6 @@ U_CLIP = 1e-12
 # Stick transform "printed": v = u^(1/beta); "standard": v = 1-(1-u)^(1/beta).
 STICK_TRANSFORMS = ("printed", "standard")
 BETA_MODES = ("learnable", "fixed")
-
-
-@dataclass
-class EncoderConfig:
-    bands: int
-    abundance_dim: int
-    hidden_widths: Optional[list[int]] = None
-    stick_transform: str = "printed"
-    beta_mode: str = "learnable"
-    beta_init: float = 1.0
-    beta_shared: bool = False
-
-    def __post_init__(self):
-        if self.abundance_dim < 2:
-            raise ConfigError("abundance_dim must be at least 2")
-        if self.bands < 1:
-            raise ConfigError("bands must be at least 1")
-        if self.stick_transform not in STICK_TRANSFORMS:
-            raise ConfigError(f"unknown stick_transform {self.stick_transform!r}")
-        if self.beta_mode not in BETA_MODES:
-            raise ConfigError(f"unknown beta_mode {self.beta_mode!r}")
-        if self.beta_init <= 0:
-            raise ConfigError("beta_init must be positive")
-        if self.hidden_widths is None:
-            self.hidden_widths = default_hidden_widths(self.bands, self.abundance_dim)
-        if not self.hidden_widths:
-            raise ConfigError("hidden_widths must be non-empty")
 
 
 def default_hidden_widths(bands: int, abundance_dim: int, depth: int = 6) -> list[int]:
@@ -125,18 +100,16 @@ class Encoder:
     abundance space common to source and target.
     """
 
-    def __init__(self, cfg: EncoderConfig, rng: Optional[np.random.Generator] = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
-        widths = list(cfg.hidden_widths)
-        dims = [cfg.bands] + widths
+        dims = [cfg.bands] + list(cfg.encoder_hidden)
         self.hidden = [DenseLayer(dims[i], dims[i + 1], activation="relu", rng=rng)
-                       for i in range(len(widths))]
+                       for i in range(len(dims) - 1)]
         self.head = DenseLayer(dims[-1], cfg.abundance_dim - 1,
                                activation="sigmoid", rng=rng)
         n_beta = 1 if cfg.beta_shared else cfg.abundance_dim - 1
-        raw_init = np.log(np.expm1(cfg.beta_init))  # softplus(raw) == beta_init
-        self.beta_raw = Tensor(np.full(n_beta, raw_init),
+        # softplus(raw) == 1: beta starts at 1, where both stick transforms are the identity
+        self.beta_raw = Tensor(np.full(n_beta, np.log(np.expm1(1.0))),
                                requires_grad=cfg.beta_mode == "learnable")
 
     def stick_beta(self) -> Tensor:

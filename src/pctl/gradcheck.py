@@ -17,10 +17,10 @@ from . import autodiff as ad
 from .autodiff import Tensor, fresh_tape
 from .classifier import extract_patches
 from .data import SynthSpec, generate_synthetic_pair
-from .decoder import AffineDecoder, DecoderConfig, reconstruction_loss
-from .encoder import Encoder, EncoderConfig, kumaraswamy_transform, normalized_entropy, stick_breaking
+from .decoder import AffineDecoder, reconstruction_loss
+from .encoder import Encoder, kumaraswamy_transform, normalized_entropy, stick_breaking
 from .layers import BatchNorm3d, DenseLayer, Dropout, one_hot, softmax, softmax_cross_entropy
-from .mi import MiConfig, MiDiscriminator, js_mi_objective, shuffle_negatives
+from .mi import MiDiscriminator, js_mi_objective, shuffle_negatives
 from .trainer import ModelConfig, ModelState, TrainConfig, compute_losses
 
 FD_STEP = 1e-5
@@ -212,10 +212,9 @@ def layer_checks(seed: int = 0):
     results.append(CheckResult("normalized-entropy", fd_check(
         lambda: normalized_entropy(simplex), [simplex]), 1e-5))
 
-    enc = Encoder(EncoderConfig(bands=6, abundance_dim=4, hidden_widths=[7, 5]),
-                  rng=np.random.default_rng(seed + 1))
-    dec = AffineDecoder(DecoderConfig(bands=6, abundance_dim=4),
-                        rng=np.random.default_rng(seed + 2))
+    small = ModelConfig(bands=6, num_classes=2, abundance_dim=4, encoder_hidden=[7, 5])
+    enc = Encoder(small, rng=np.random.default_rng(seed + 1))
+    dec = AffineDecoder(small, rng=np.random.default_rng(seed + 2))
     ex = Tensor(rng.uniform(0.1, 1.0, (4, 6)))
     et = Tensor(rng.uniform(0.1, 1.0, (4, 6)))
     enc_params = [t for _, t in enc.parameters()] + [t for _, t in dec.parameters()]
@@ -228,8 +227,7 @@ def layer_checks(seed: int = 0):
     results.append(CheckResult("encode-decode", fd_check(recon_loss, enc_params),
                                1e-5))
 
-    disc = MiDiscriminator(MiConfig(bands=6, abundance_dim=4),
-                           rng=np.random.default_rng(seed + 3))
+    disc = MiDiscriminator(small, rng=np.random.default_rng(seed + 3))
     neg = shuffle_negatives(ex, 7)
     mi_params = [t for _, t in disc.parameters()]
 

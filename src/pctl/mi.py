@@ -9,8 +9,7 @@ uncertainty about its own input in both domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -20,25 +19,19 @@ from .encoder import SimplexBatch
 from .errors import ContractError, DimensionError
 from .layers import DenseLayer
 
+if TYPE_CHECKING:
+    from .config import ModelConfig
+
 DERANGEMENT_TRIES = 16
-
-
-@dataclass
-class MiConfig:
-    bands: int
-    abundance_dim: int
-    hidden: int = 13
 
 
 class MiDiscriminator:
     """Dense stack scoring concatenated (pixel, abundance) rows."""
 
-    def __init__(self, cfg: MiConfig, rng: Optional[np.random.Generator] = None):
-        rng = rng or np.random.default_rng(0)
-        self.cfg = cfg
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         in_dim = cfg.bands + cfg.abundance_dim
-        self.dense0 = DenseLayer(in_dim, cfg.hidden, activation="relu", rng=rng)
-        self.dense1 = DenseLayer(cfg.hidden, 1, activation="none", rng=rng)
+        self.dense0 = DenseLayer(in_dim, cfg.mi_hidden, activation="relu", rng=rng)
+        self.dense1 = DenseLayer(cfg.mi_hidden, 1, activation="none", rng=rng)
 
     def score(self, x: Tensor, a: SimplexBatch) -> Tensor:
         values = a.values if isinstance(a, SimplexBatch) else a

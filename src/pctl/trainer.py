@@ -24,7 +24,6 @@ from . import autodiff as ad
 from .autodiff import Tensor, fresh_tape, no_grad
 from .classifier import (
     Classifier3d,
-    ClassifierConfig,
     abundance_patches_from_map,
     classification_loss,
     encode_patches,
@@ -32,8 +31,8 @@ from .classifier import (
 )
 from .config import ModelConfig, TrainConfig, config_records, from_records
 from .data import HsiCube, split_labels
-from .decoder import AffineDecoder, DecoderConfig, PlainDecoder, reconstruction_loss
-from .encoder import Encoder, EncoderConfig, sparse_loss
+from .decoder import AffineDecoder, PlainDecoder, reconstruction_loss
+from .encoder import Encoder, sparse_loss
 from .errors import (
     ConfigError,
     ContractError,
@@ -44,7 +43,7 @@ from .errors import (
 )
 from .layers import one_hot, softmax
 from .metrics import ConfusionMatrix, confusion, oa_aa_kappa
-from .mi import MiConfig, MiDiscriminator, mi_loss
+from .mi import MiDiscriminator, mi_loss
 from .rng import StreamSet
 
 CHECKPOINT_MAGIC = b"PCTL"
@@ -62,35 +61,15 @@ class ModelState:
         self.train_cfg = train_cfg
         streams = StreamSet(seed)
         init = streams.get("init")
-        enc_cfg = EncoderConfig(bands=model_cfg.bands,
-                                abundance_dim=model_cfg.abundance_dim,
-                                hidden_widths=model_cfg.encoder_hidden,
-                                stick_transform=model_cfg.stick_transform,
-                                beta_mode=model_cfg.beta_mode,
-                                beta_shared=model_cfg.beta_shared)
-        self.encoder = Encoder(enc_cfg, rng=init)
-        dec_cfg = DecoderConfig(bands=model_cfg.bands,
-                                abundance_dim=model_cfg.abundance_dim,
-                                per_band_affine=model_cfg.per_band_affine)
+        self.encoder = Encoder(model_cfg, rng=init)
         if not train_cfg.use_reconstruction:
             self.decoder = None
         elif train_cfg.shared_decoder_only:
-            self.decoder = PlainDecoder(dec_cfg, rng=init)
+            self.decoder = PlainDecoder(model_cfg, rng=init)
         else:
-            self.decoder = AffineDecoder(dec_cfg, rng=init)
-        if train_cfg.use_mi:
-            self.mi_disc = MiDiscriminator(
-                MiConfig(bands=model_cfg.bands,
-                         abundance_dim=model_cfg.abundance_dim,
-                         hidden=model_cfg.mi_hidden), rng=init)
-        else:
-            self.mi_disc = None
-        clf_cfg = ClassifierConfig(abundance_dim=model_cfg.abundance_dim,
-                                   num_classes=model_cfg.num_classes,
-                                   patch_size=model_cfg.patch_size,
-                                   block_channels=list(model_cfg.block_channels),
-                                   dropout_rate=model_cfg.dropout_rate)
-        self.classifier = Classifier3d(clf_cfg, rng=init,
+            self.decoder = AffineDecoder(model_cfg, rng=init)
+        self.mi_disc = MiDiscriminator(model_cfg, rng=init) if train_cfg.use_mi else None
+        self.classifier = Classifier3d(model_cfg, rng=init,
                                        dropout_rng=streams.get("dropout"))
         self.step = 0
         self.adam_m = {name: np.zeros_like(t.data) for name, t in self.parameters()}
@@ -168,7 +147,7 @@ def compute_losses(state: ModelState, x_source: np.ndarray, x_target: np.ndarray
     # with reconstruction on, the classification gradient stops at the
     # abundances, so only the unmixing terms above train the encoder
     with no_grad() if cfg.use_reconstruction else nullcontext():
-        patch_batch = encode_patches(state.encoder, patches, validate=False)
+        patch_batch = encode_patches(state.encoder, patches)
     logits = state.classifier.logits(patch_batch, train=train)
     ls = classification_loss(
         logits, Tensor(one_hot(patch_labels, state.model_cfg.num_classes)))

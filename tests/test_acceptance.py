@@ -16,10 +16,9 @@ import pytest
 from pctl import autodiff as ad
 from pctl.autodiff import Tensor, fresh_tape, no_grad
 from pctl.data import SynthSpec, generate_synthetic_pair
-from pctl.decoder import AffineDecoder, DecoderConfig
+from pctl.decoder import AffineDecoder
 from pctl.encoder import (
     Encoder,
-    EncoderConfig,
     SimplexBatch,
     normalized_entropy,
     sparse_loss,
@@ -34,7 +33,7 @@ from pctl.metrics import (
     oa_aa_kappa,
     svd_project_2d,
 )
-from pctl.mi import MiConfig, MiDiscriminator, js_mi_objective, shuffle_negatives
+from pctl.mi import MiDiscriminator, js_mi_objective, shuffle_negatives
 from pctl.trainer import (
     ModelConfig,
     ModelState,
@@ -115,7 +114,7 @@ def test_criterion_02_simplex_physics():
     for trial in range(100):
         bands = int(rng.integers(4, 30))
         c = int(rng.integers(2, 9))
-        enc = Encoder(EncoderConfig(bands=bands, abundance_dim=c),
+        enc = Encoder(ModelConfig(bands=bands, num_classes=2, abundance_dim=c),
                       rng=np.random.default_rng(1000 + trial))
         x = Tensor(rng.standard_normal((64, bands)) * rng.uniform(0.5, 5.0))
         with no_grad():
@@ -141,7 +140,7 @@ def test_criterion_03_entropy_sparsity():
     # minimizing the sparsity objective alone drives rows toward one-hot;
     # the start is near-uniform but not exact (the exact uniform point is a
     # stationary maximum where gradient descent cannot move)
-    cfg = EncoderConfig(bands=12, abundance_dim=4, hidden_widths=[8, 6])
+    cfg = ModelConfig(bands=12, num_classes=2, abundance_dim=4, encoder_hidden=[8, 6])
     enc = Encoder(cfg, rng=np.random.default_rng(3))
     enc.head.weight.data[:] = 1e-3 * np.random.default_rng(30).standard_normal(
         enc.head.weight.shape)
@@ -171,7 +170,7 @@ def test_criterion_03_entropy_sparsity():
 
 def test_criterion_04_mi_bound_sanity():
     rng = np.random.default_rng(5)
-    disc = MiDiscriminator(MiConfig(bands=10, abundance_dim=4),
+    disc = MiDiscriminator(ModelConfig(bands=10, num_classes=2, abundance_dim=4),
                            rng=np.random.default_rng(6))
     for _ in range(1000):
         x = Tensor(rng.standard_normal((8, 10)) * rng.uniform(0.5, 3.0))
@@ -190,7 +189,7 @@ def test_criterion_04_mi_bound_sanity():
     assert abs(zero_obj - (-2.0 * np.log(2.0))) <= 1e-12
 
     # deterministic pixel-abundance pairs: the trained bound detects dependence
-    disc = MiDiscriminator(MiConfig(bands=10, abundance_dim=4),
+    disc = MiDiscriminator(ModelConfig(bands=10, num_classes=2, abundance_dim=4),
                            rng=np.random.default_rng(7))
     basis = np.random.default_rng(8).uniform(0.0, 1.0, (4, 10))
     params = [t for _, t in disc.parameters()]
@@ -219,7 +218,7 @@ def test_criterion_04_mi_bound_sanity():
 
 def test_criterion_05_affine_decoder_structure():
     # structural sharing on a fresh decoder
-    dec = AffineDecoder(DecoderConfig(bands=8, abundance_dim=4),
+    dec = AffineDecoder(ModelConfig(bands=8, num_classes=2, abundance_dim=4),
                         rng=np.random.default_rng(10))
     rng = np.random.default_rng(11)
     raw = rng.uniform(0.05, 1.0, (6, 4))

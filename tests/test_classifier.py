@@ -5,53 +5,48 @@ import pytest
 from pctl import autodiff as ad
 from pctl.autodiff import Tensor, fresh_tape, no_grad
 from pctl.classifier import (
-    AbundancePatch,
     Classifier3d,
-    ClassifierConfig,
     abundance_patches_from_map,
     classification_loss,
+    conv_kernel,
     encode_patches,
     extract_patches,
 )
-from pctl.encoder import Encoder, EncoderConfig
-from pctl.errors import ConfigError, ContractError
+from pctl.config import ModelConfig
+from pctl.encoder import Encoder
+from pctl.errors import ContractError, DimensionError
 from pctl.gradcheck import fd_check
 from pctl.layers import one_hot
 
 
 def tiny_config(**kw):
-    base = dict(abundance_dim=3, num_classes=2, patch_size=3,
+    base = dict(bands=4, abundance_dim=3, num_classes=2, patch_size=3,
                 block_channels=[2, 2, 2, 2, 2], dropout_rate=0.0)
     base.update(kw)
-    return ClassifierConfig(**base)
+    return ModelConfig(**base)
+
+
+def encoder(bands, abundance_dim, seed):
+    return Encoder(ModelConfig(bands=bands, num_classes=2, abundance_dim=abundance_dim),
+                   rng=np.random.default_rng(seed))
 
 
 def random_abundance_patch(rng, n, c, p):
     raw = rng.uniform(0.05, 1.0, (n, p, p, c))
     raw /= raw.sum(axis=3, keepdims=True)
     volume = np.ascontiguousarray(raw.transpose(0, 3, 1, 2))[:, None]
-    return AbundancePatch(Tensor(volume))
+    return Tensor(volume)
 
 
 class TestConfig:
-    def test_even_patch_rejected(self):
-        with pytest.raises(ConfigError):
-            tiny_config(patch_size=4)
-
-    def test_five_blocks_required(self):
-        with pytest.raises(ConfigError):
-            tiny_config(block_channels=[4, 4, 4])
-
     def test_kernel_clamped_to_geometry(self):
-        cfg = tiny_config(abundance_dim=2, patch_size=5)
-        assert cfg.kernel == (2, 5, 5)
-        cfg = ClassifierConfig(abundance_dim=6, num_classes=4, patch_size=11)
-        assert cfg.kernel == (3, 7, 7)
+        assert conv_kernel(abundance_dim=2, patch_size=5) == (2, 5, 5)
+        assert conv_kernel(abundance_dim=6, patch_size=11) == (3, 7, 7)
 
 
 class TestDenseConnectivity:
     def test_block_input_channels(self):
-        cfg = ClassifierConfig(abundance_dim=4, num_classes=3, patch_size=5)
+        cfg = ModelConfig(bands=4, abundance_dim=4, num_classes=3, patch_size=5)
         clf = Classifier3d(cfg, rng=np.random.default_rng(0))
         for i, block in enumerate(clf.blocks):
             expected = 1 + sum(cfg.block_channels[:i])
@@ -59,7 +54,7 @@ class TestDenseConnectivity:
             assert clf.input_channels(i) == expected
 
     def test_default_table_channels(self):
-        cfg = ClassifierConfig(abundance_dim=4, num_classes=3, patch_size=5)
+        cfg = ModelConfig(bands=4, abundance_dim=4, num_classes=3, patch_size=5)
         assert cfg.block_channels == [12, 32, 12, 12, 30]
 
 
@@ -86,9 +81,13 @@ class TestLogits:
 
     def test_wrong_patch_dims_rejected(self):
         clf = Classifier3d(tiny_config(), rng=np.random.default_rng(5))
-        bad = random_abundance_patch(np.random.default_rng(6), 2, 3, 5)
-        with pytest.raises(Exception):
-            clf.logits(bad, train=False)
+        wrong_size = random_abundance_patch(np.random.default_rng(6), 2, 3, 5)
+        fits = random_abundance_patch(np.random.default_rng(6), 2, 3, 3).data
+        no_channel_axis = Tensor(fits[:, 0])
+        two_channels = Tensor(np.concatenate([fits, fits], axis=1))
+        for bad in (wrong_size, no_channel_axis, two_channels):
+            with pytest.raises(DimensionError):
+                clf.logits(bad, train=False)
 
     def test_end_to_end_gradient(self):
         cfg = tiny_config()
@@ -140,25 +139,17 @@ class TestPatchExtraction:
 
 
 class TestEncodeBridge:
-    def test_raw_patches_rejected_by_abundance_patch(self):
-        rng = np.random.default_rng(11)
-        raw = rng.uniform(0.0, 1.0, (2, 1, 3, 3, 3))
-        with pytest.raises(ContractError):
-            AbundancePatch(Tensor(raw))
-
     def test_encode_patches_shapes_and_simplex(self):
-        enc = Encoder(EncoderConfig(bands=5, abundance_dim=4),
-                      rng=np.random.default_rng(12))
+        enc = encoder(5, 4, seed=12)
         rng = np.random.default_rng(13)
         pixels = rng.uniform(0.0, 1.0, (3, 3, 3, 5))
         patch = encode_patches(enc, pixels)
         assert patch.shape == (3, 1, 4, 3, 3)
-        sums = patch.values.data.sum(axis=2)
+        sums = patch.data.sum(axis=2)
         npt.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_map_shortcut_matches_per_patch_encoding(self):
-        enc = Encoder(EncoderConfig(bands=5, abundance_dim=3),
-                      rng=np.random.default_rng(14))
+        enc = encoder(5, 3, seed=14)
         rng = np.random.default_rng(15)
         cube = rng.uniform(0.0, 1.0, (8, 7, 5))
         centers = [(0, 0), (4, 3), (7, 6)]
@@ -166,11 +157,10 @@ class TestEncodeBridge:
             amap = enc.encode(Tensor(cube.reshape(-1, 5))).values.data.reshape(8, 7, 3)
             direct = abundance_patches_from_map(amap, centers, 3)
             via_pixels = encode_patches(enc, extract_patches(cube, centers, 3))
-        npt.assert_allclose(direct.values.data, via_pixels.values.data, atol=1e-12)
+        npt.assert_allclose(direct.data, via_pixels.data, atol=1e-12)
 
     def test_translation_consistency(self):
-        enc = Encoder(EncoderConfig(bands=4, abundance_dim=3),
-                      rng=np.random.default_rng(16))
+        enc = encoder(4, 3, seed=16)
         clf = Classifier3d(tiny_config(num_classes=3), rng=np.random.default_rng(17))
         rng = np.random.default_rng(18)
         cube = rng.uniform(0.0, 1.0, (9, 9, 4))
@@ -182,8 +172,7 @@ class TestEncodeBridge:
         npt.assert_allclose(both[1], one[0], atol=1e-12)
 
     def test_classifier_gradients_reach_encoder(self):
-        enc = Encoder(EncoderConfig(bands=4, abundance_dim=3),
-                      rng=np.random.default_rng(19))
+        enc = encoder(4, 3, seed=19)
         clf = Classifier3d(tiny_config(num_classes=3), rng=np.random.default_rng(20))
         rng = np.random.default_rng(21)
         pixels = rng.uniform(0.0, 1.0, (2, 3, 3, 4))
@@ -210,7 +199,7 @@ class TestTrainingSanity:
         raw += rng.uniform(0.0, 0.05, raw.shape)
         raw /= raw.sum(axis=3, keepdims=True)
         volume = np.ascontiguousarray(raw.transpose(0, 3, 1, 2))[:, None]
-        patch = AbundancePatch(Tensor(volume))
+        patch = Tensor(volume)
         y = Tensor(one_hot(labels, 2))
         params = [t for _, t in clf.parameters()]
         for t in params:

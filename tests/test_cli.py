@@ -192,6 +192,19 @@ class TestTrain:
                            + ["--set", f"train.{key}=0"])
         assert not list(out.glob("model*.pctl"))
 
+    @pytest.mark.parametrize("setting", [
+        "train.learning_rate=-1", "train.learning_rate=nan", "train.alpha=nan",
+        "train.eval_every=-1",
+        "model.mi_hidden=-1", "model.encoder_hidden=-2 3", "model.block_channels=-1 2 2 2 2",
+        "model.mi_hidden=0", "model.encoder_hidden=0 3", "model.block_channels=0 0 0 0 0"])
+    def test_a_bad_rate_or_width_exits_2(self, scene, tmp_path, capsys, setting):
+        out = tmp_path / "run"
+        assert_usage_error(capsys, ["train", "--source", str(scene / "data/source.hsic"),
+                                    "--target", str(scene / "data/target.hsic"),
+                                    "--out", str(out)] + TRAIN_OVERRIDES
+                           + ["--set", setting])
+        assert not list(out.glob("model*.pctl"))
+
     def test_unknown_config_key_exits_2(self, scene, tmp_path, capsys):
         code = main(["train", "--source", str(scene / "data/source.hsic"),
                      "--target", str(scene / "data/target.hsic"),
@@ -281,6 +294,16 @@ class TestProject2d:
             assert lines[0] == "domain,class,x,y"
             assert len(lines) > 100
 
+    @pytest.mark.parametrize("cap", ["1", "-3"])
+    def test_fewer_than_two_points_per_class_exits_2(self, scene, trained, tmp_path,
+                                                      capsys, cap):
+        out = tmp_path / "proj"
+        assert_usage_error(capsys, ["project2d", "--checkpoint", str(trained / "model.pctl"),
+                                    "--source", str(scene / "data/source.hsic"),
+                                    "--target", str(scene / "data/target.hsic"),
+                                    "--out", str(out), "--max-per-class", cap])
+        assert not out.exists()
+
 
 class TestAblateCommand:
     def test_small_ablation_table(self, scene, tmp_path):
@@ -322,6 +345,10 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_exits_2(self, capsys, seeds):
+        assert_usage_error(capsys, ["gradcheck", "--seeds", seeds])
 
 
 class TestRunConfig:

@@ -6,10 +6,10 @@ from pctl import autodiff as ad
 from pctl.autodiff import Tensor
 from pctl.decoder import (
     AffineDecoder,
-    DecoderConfig,
     reconstruction_loss,
     successive_projections,
 )
+from pctl.config import ModelConfig
 from pctl.encoder import SimplexBatch
 from pctl.errors import DimensionError
 from pctl.gradcheck import fd_check
@@ -22,7 +22,7 @@ def make_batch(rng, n, c):
 
 @pytest.fixture
 def decoder():
-    return AffineDecoder(DecoderConfig(bands=8, abundance_dim=4),
+    return AffineDecoder(ModelConfig(bands=8, num_classes=2, abundance_dim=4),
                          rng=np.random.default_rng(0))
 
 
@@ -79,8 +79,8 @@ class TestAffineBranches:
                         params) < 1e-5
 
     def test_scalar_affine_mode(self):
-        dec = AffineDecoder(DecoderConfig(bands=8, abundance_dim=4,
-                                          per_band_affine=False),
+        dec = AffineDecoder(ModelConfig(bands=8, num_classes=2, abundance_dim=4,
+                                        per_band_affine=False),
                             rng=np.random.default_rng(6))
         assert dec.src_scale.data.shape == (1,)
         a = make_batch(np.random.default_rng(7), 3, 4)

@@ -4,11 +4,11 @@ import pytest
 
 from pctl import autodiff as ad
 from pctl.autodiff import Tensor, fresh_tape
-from pctl.encoder import Encoder, EncoderConfig, SimplexBatch
+from pctl.config import ModelConfig
+from pctl.encoder import Encoder, SimplexBatch
 from pctl.errors import ContractError, DimensionError
 from pctl.gradcheck import fd_check
 from pctl.mi import (
-    MiConfig,
     MiDiscriminator,
     domain_shuffle_rngs,
     js_mi_objective,
@@ -24,7 +24,7 @@ def make_batch(rng, n, c):
 
 @pytest.fixture
 def disc():
-    return MiDiscriminator(MiConfig(bands=6, abundance_dim=3),
+    return MiDiscriminator(ModelConfig(bands=6, num_classes=2, abundance_dim=3),
                            rng=np.random.default_rng(0))
 
 
@@ -126,7 +126,7 @@ class TestJsObjective:
         assert np.all(neg.grad < 0.0)
 
     def test_gradients_reach_discriminator_and_encoder(self, disc):
-        enc = Encoder(EncoderConfig(bands=6, abundance_dim=3),
+        enc = Encoder(ModelConfig(bands=6, num_classes=2, abundance_dim=3),
                       rng=np.random.default_rng(12))
         rng = np.random.default_rng(13)
         x = Tensor(rng.uniform(0.1, 1.0, (6, 6)))

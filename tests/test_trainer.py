@@ -67,6 +67,31 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=key):
             TrainConfig(**{key: 0})
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", -1.0), ("learning_rate", 0.0), ("learning_rate", np.nan),
+        ("learning_rate", np.inf), ("alpha", np.nan), ("mi_weight", np.inf),
+        ("eval_every", -1)])
+    def test_bad_rates_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("stick_transform", "bogus", id="stick_transform"),
+        pytest.param("beta_mode", "bogus", id="beta_mode"),
+        pytest.param("num_classes", 1, id="one_class"),
+        pytest.param("abundance_dim", 1, id="abundance_dim_1"),
+        pytest.param("patch_size", 4, id="even_patch"),
+        pytest.param("patch_size", -1, id="negative_patch"),
+        pytest.param("block_channels", [4, 4, 4], id="three_blocks"),
+        pytest.param("encoder_hidden", [], id="no_hidden_widths"),
+        pytest.param("encoder_hidden", [6, 0], id="zero_hidden_width"),
+        pytest.param("block_channels", [2, 2, -1, 2, 2], id="negative_block_width"),
+        pytest.param("mi_hidden", 0, id="zero_mi_width"),
+    ])
+    def test_bad_model_config_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            tiny_model(**{key: value})
+
     def test_conflicting_flags_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(classifier_only=True, shared_decoder_only=True)
@@ -333,7 +358,8 @@ class TestCheckpoint:
                       label_fraction=0.3, eval_every=3, eval_samples=9,
                       no_sparse=True, no_mi=True)
         cfgs = [TrainConfig(**common, shared_decoder_only=True),
-                TrainConfig(**common, classifier_only=True)]
+                TrainConfig(**common, classifier_only=True),
+                TrainConfig(**{**common, "no_mi": False})]
         for f in fields(TrainConfig):
             assert any(getattr(c, f.name) != getattr(TrainConfig(), f.name)
                        for c in cfgs), f.name
@@ -344,6 +370,12 @@ class TestCheckpoint:
             loaded = load_checkpoint(path)
             assert loaded.model_cfg == state.model_cfg
             assert loaded.train_cfg == state.train_cfg
+        # the last variant builds every module, and each reads its settings
+        assert [v.shape for v in loaded.decoder.affine_pairs().values()] == [(1,)] * 4
+        assert loaded.mi_disc.dense0.out_dim == 7
+        assert loaded.encoder.beta_raw.shape == (1,)
+        assert "enc.beta_raw" not in dict(loaded.parameters())
+        assert loaded.classifier.dropout.rate == 0.25
 
     def test_missing_train_records_load_as_defaults(self, tmp_path, monkeypatch):
         # older checkpoints store only these four of the train fields
