@@ -247,6 +247,8 @@ def cmd_project2d(args) -> int:
     if args.max_per_class < 2:
         # each overlap score divides by a within-class spread, which needs two points
         raise ConfigError(f"--max-per-class must be >= 2, got {args.max_per_class}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     state = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     source = read_cube(_require_file(args.source, "source cube"))
     target = read_cube(_require_file(args.target, "target cube"))

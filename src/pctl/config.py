@@ -27,6 +27,18 @@ from .data import SynthSpec
 from .encoder import BETA_MODES, STICK_TRANSFORMS, default_hidden_widths
 from .errors import ConfigError
 
+# The ablation ladder, one rung per variant. A checkpoint stores the variant as
+# its index here, so new rungs are appended and the order never changes.
+ABLATION_VARIANTS = ("classifier-only", "shared-decoder", "affine-decoder", "sparse", "full")
+
+
+def _check_choices(cfg) -> None:
+    """Reject a field whose value is not one of its ``choices``."""
+    for f in fields(cfg):
+        value, choices = getattr(cfg, f.name), f.metadata.get("choices")
+        if choices and value not in choices:
+            raise ConfigError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
+
 
 @dataclass
 class ModelConfig:
@@ -57,11 +69,7 @@ class ModelConfig:
             raise ConfigError("bands must be at least 1")
         if self.encoder_hidden is None:
             self.encoder_hidden = default_hidden_widths(self.bands, self.abundance_dim)
-        for f in fields(self):
-            choices = f.metadata.get("choices")
-            if choices and getattr(self, f.name) not in choices:
-                raise ConfigError(f"{f.name} must be one of {', '.join(choices)}, "
-                                  f"got {getattr(self, f.name)!r}")
+        _check_choices(self)
         if self.num_classes < 2:
             raise ConfigError("num_classes must be at least 2")
         if self.abundance_dim < 2:
@@ -80,7 +88,7 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
-    """Optimization schedule, loss weights, and ablation switches."""
+    """Optimization schedule, loss weights, and the ablation variant."""
 
     alpha: float = 0.001          # sparsity weight
     mi_weight: float = 0.1        # weight on the negated MI bound
@@ -93,10 +101,7 @@ class TrainConfig:
     label_fraction: float = 0.05
     eval_every: int = 10
     eval_samples: int = 128
-    classifier_only: bool = False
-    shared_decoder_only: bool = False
-    no_sparse: bool = False
-    no_mi: bool = False
+    variant: str = field(default="full", metadata={"choices": ABLATION_VARIANTS})
 
     def __post_init__(self):
         # every comparison with nan is false, so these forms reject it
@@ -104,24 +109,25 @@ class TrainConfig:
             raise ConfigError("loss weights alpha and mi_weight must be finite and >= 0")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError("learning_rate must be finite and > 0")
-        if min(self.epochs, self.eval_every) < 0 or self.steps_per_epoch < 1:
-            raise ConfigError("epochs and eval_every must be >= 0 and steps_per_epoch >= 1")
+        if min(self.epochs, self.seed) < 0:
+            raise ConfigError("epochs and seed must be >= 0")
+        if min(self.eval_every, self.steps_per_epoch) < 1:
+            raise ConfigError("eval_every and steps_per_epoch must be >= 1")
         if min(self.batch_recon, self.batch_class, self.eval_samples) < 1:
             raise ConfigError("batch_recon, batch_class and eval_samples must be >= 1")
-        if self.classifier_only and self.shared_decoder_only:
-            raise ConfigError("classifier_only already removes the decoder")
+        _check_choices(self)
 
     @property
     def use_reconstruction(self) -> bool:
-        return not self.classifier_only
+        return self.variant != "classifier-only"
 
     @property
     def use_sparse(self) -> bool:
-        return self.use_reconstruction and not self.no_sparse
+        return self.variant in ("sparse", "full")
 
     @property
     def use_mi(self) -> bool:
-        return self.use_reconstruction and not self.no_mi
+        return self.variant == "full"
 
 
 SECTIONS = {"train": TrainConfig, "model": ModelConfig, "synth": SynthSpec}

@@ -214,16 +214,23 @@ class SynthSpec:
         if self.abundance_dim < self.classes:
             raise ConfigError("abundance_dim must be >= classes so each class "
                               "can own a distinct dominant component")
+        if self.bands < 1:
+            raise ConfigError("bands must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         self.scale = _per_band(self.scale, 0.7, self.bands)
         self.offset = _per_band(self.offset, 0.1, self.bands)
-        if np.any(self.scale == 0.0):
-            raise ConfigError("affine scale must be nonzero on every band")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
+        if not np.all(np.isfinite(self.scale) & (self.scale != 0.0)):
+            raise ConfigError("affine scale must be finite and nonzero on every band")
+        if not np.all(np.isfinite(self.offset)):
+            raise ConfigError("affine offset must be finite on every band")
+        # every comparison with nan is false, so these forms reject it
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigError("noise_sigma must be finite and >= 0")
         if self.pixels_per_class < 1:
             raise ConfigError("pixels_per_class must be positive")
-        if self.concentration_peak <= 0 or self.concentration_base <= 0:
-            raise ConfigError("Dirichlet concentrations must be positive")
+        if not (0 < self.concentration_peak < np.inf and 0 < self.concentration_base < np.inf):
+            raise ConfigError("concentration_peak and concentration_base must be finite and > 0")
         if not 0.0 <= self.envelope_weight <= 1.0:
             raise ConfigError("envelope_weight must lie in [0, 1]")
         if self.concentrations is None:

@@ -44,15 +44,14 @@ class SimplexBatch:
 
     __slots__ = ("values",)
 
-    def __init__(self, values: Tensor, validate: bool = True):
-        if validate:
-            data = values.data
-            if data.ndim != 2:
-                raise ContractError(f"simplex batch must be 2-D, got {values.shape}")
-            if np.any(data < 0.0) or np.any(data > 1.0):
-                raise ContractError("abundance entries must lie in [0, 1]")
-            if np.any(np.abs(data.sum(axis=1) - 1.0) > 1e-9):
-                raise ContractError("abundance rows must sum to 1")
+    def __init__(self, values: Tensor):
+        data = values.data
+        if data.ndim != 2:
+            raise ContractError(f"simplex batch must be 2-D, got {values.shape}")
+        if np.any(data < 0.0) or np.any(data > 1.0):
+            raise ContractError("abundance entries must lie in [0, 1]")
+        if np.any(np.abs(data.sum(axis=1) - 1.0) > 1e-9):
+            raise ContractError("abundance rows must sum to 1")
         self.values = values
 
     @property

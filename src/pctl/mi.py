@@ -34,11 +34,10 @@ class MiDiscriminator:
         self.dense1 = DenseLayer(cfg.mi_hidden, 1, activation="none", rng=rng)
 
     def score(self, x: Tensor, a: SimplexBatch) -> Tensor:
-        values = a.values if isinstance(a, SimplexBatch) else a
-        if x.shape[0] != values.shape[0]:
+        if x.shape[0] != a.shape[0]:
             raise DimensionError(
-                f"batch sizes differ: pixels {x.shape[0]}, abundances {values.shape[0]}")
-        return self.dense1(self.dense0(ad.concat([x, values], axis=1)))
+                f"batch sizes differ: pixels {x.shape[0]}, abundances {a.shape[0]}")
+        return self.dense1(self.dense0(ad.concat([x, a.values], axis=1)))
 
     def parameters(self):
         out = [(f"dense0.{n}", t) for n, t in self.dense0.parameters()]

@@ -29,7 +29,7 @@ from .classifier import (
     encode_patches,
     extract_patches,
 )
-from .config import ModelConfig, TrainConfig, config_records, from_records
+from .config import ABLATION_VARIANTS, ModelConfig, TrainConfig, config_records, from_records
 from .data import HsiCube, split_labels
 from .decoder import AffineDecoder, PlainDecoder, reconstruction_loss
 from .encoder import Encoder, sparse_loss
@@ -49,9 +49,6 @@ from .rng import StreamSet
 CHECKPOINT_MAGIC = b"PCTL"
 CHECKPOINT_VERSION = 1
 
-ABLATION_VARIANTS = ("classifier-only", "shared-decoder", "affine-decoder",
-                     "sparse", "full")
-
 
 class ModelState:
     """All learnable parameters plus optimizer moments and the step counter."""
@@ -64,7 +61,7 @@ class ModelState:
         self.encoder = Encoder(model_cfg, rng=init)
         if not train_cfg.use_reconstruction:
             self.decoder = None
-        elif train_cfg.shared_decoder_only:
+        elif train_cfg.variant == "shared-decoder":
             self.decoder = PlainDecoder(model_cfg, rng=init)
         else:
             self.decoder = AffineDecoder(model_cfg, rng=init)
@@ -178,24 +175,19 @@ def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig)
     decoder from the two unlabeled cubes; see ``AffineDecoder.initialize``.
     A resumed state, or a run with zero epochs, is left as it is.
 
-    ``cfg`` must ask for the modules the state was built with; it becomes the
-    state's ``train_cfg``, which the checkpoint stores.
+    ``cfg`` must name the variant the state was built as; once the checks
+    pass it becomes the state's ``train_cfg``, which the checkpoint stores.
     """
-    def modules(c):
-        return c.use_reconstruction, c.shared_decoder_only, c.use_mi
-    built = state.train_cfg
-    if modules(cfg) != modules(built):
-        raise ConfigError(
-            f"the model state was built with classifier_only={built.classifier_only}, "
-            f"shared_decoder_only={built.shared_decoder_only} and no_mi={built.no_mi}; "
-            "training cannot change its modules")
-    state.train_cfg = cfg
+    if cfg.variant != state.train_cfg.variant:
+        raise ConfigError(f"the model state was built as variant {state.train_cfg.variant!r}; "
+                          f"training cannot change it to {cfg.variant!r}")
     if source.labels is None:
         raise ContractError("source cube must carry labels")
     if source.bands != state.model_cfg.bands or target.bands != state.model_cfg.bands:
         raise DataMismatchError(
             f"cube bands ({source.bands}/{target.bands}) do not match model "
             f"({state.model_cfg.bands})")
+    state.train_cfg = cfg
 
     streams = StreamSet(cfg.seed)
     batch_rng = streams.get("batch")
@@ -254,7 +246,7 @@ def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig)
         final = epoch == cfg.epochs
         row = {"epoch": epoch, **{k: parts.get(k, float("nan"))
                                   for k in ("L2", "LH", "LI", "LS", "total")}}
-        if final or cfg.eval_every == 0 or epoch % cfg.eval_every == 0:
+        if final or epoch % cfg.eval_every == 0:
             try:
                 for name, cube, every, sub in evals:
                     cm = _accuracy(state, cube, every if final else sub)
@@ -336,20 +328,6 @@ def evaluate(state: ModelState, cube: HsiCube):
 
 # -- ablation -----------------------------------------------------------------------
 
-def variant_flags(name: str) -> dict:
-    table = {
-        "classifier-only": dict(classifier_only=True),
-        "shared-decoder": dict(shared_decoder_only=True, no_sparse=True, no_mi=True),
-        "affine-decoder": dict(no_sparse=True, no_mi=True),
-        "sparse": dict(no_mi=True),
-        "full": {},
-    }
-    if name not in table:
-        raise ConfigError(f"unknown ablation variant {name!r}; "
-                          f"expected one of {ABLATION_VARIANTS}")
-    return table[name]
-
-
 def run_ablation(model_cfg: ModelConfig, base_cfg: TrainConfig,
                  source: HsiCube, target: HsiCube,
                  variants=ABLATION_VARIANTS):
@@ -365,9 +343,7 @@ def run_ablation(model_cfg: ModelConfig, base_cfg: TrainConfig,
     if base_cfg.epochs < 1:
         raise ConfigError("ablation scores each variant by its final training "
                           "evaluation; train.epochs must be >= 1")
-    off = dict(classifier_only=False, shared_decoder_only=False,
-               no_sparse=False, no_mi=False)
-    cfgs = [replace(base_cfg, **{**off, **variant_flags(name)}) for name in variants]
+    cfgs = [replace(base_cfg, variant=name) for name in variants]
     rows = []
     for name, cfg in zip(variants, cfgs):
         state = ModelState(model_cfg, cfg, seed=cfg.seed)
@@ -455,9 +431,25 @@ def _read_records(path) -> dict:
     return records
 
 
+def _legacy_variant(rec: dict, path) -> str:
+    """The variant that a checkpoint older than ``TrainConfig.variant`` stores
+    as four switches; a missing switch reads 0, and ``classifier_only`` wins."""
+    on = tuple(name for name in ("classifier_only", "shared_decoder_only", "no_sparse", "no_mi")
+               if rec.get(f"cfg.{name}", 0))
+    rungs = {("shared_decoder_only", "no_sparse", "no_mi"): "shared-decoder",
+             ("no_sparse", "no_mi"): "affine-decoder", ("no_mi",): "sparse", (): "full"}
+    if "classifier_only" in on:
+        return "classifier-only"
+    if on not in rungs:
+        raise ParseError(f"{path}: no ablation variant sets exactly the switches {', '.join(on)}")
+    return rungs[on]
+
+
 def load_checkpoint(path) -> ModelState:
     """Rebuild a ModelState whose forward outputs match the saved one exactly."""
     rec = _read_records(path)
+    if "cfg.variant" not in rec:
+        rec["cfg.variant"] = ABLATION_VARIANTS.index(_legacy_variant(rec, path))
     try:
         model_cfg = from_records(ModelConfig, rec)
         train_cfg = from_records(TrainConfig, rec)

@@ -1,5 +1,11 @@
 import re
 
+import numpy as np
+import pytest
+
+import pctl.trainer
+from pctl.config import TrainConfig
+
 CRITERION_PATTERN = re.compile(r"test_criterion_(\d+[a-z]?)_(\w+)")
 
 
@@ -21,3 +27,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for (number, name), verdict in sorted(outcomes.items()):
             terminalreporter.write_line(
                 f"criterion {number} {name.replace('_', '-')}: {verdict}")
+
+
+@pytest.fixture
+def save_with_switches(monkeypatch):
+    """Save a state as checkpoints before ``TrainConfig.variant`` were written.
+
+    The file has no ``cfg.variant`` record and one ``cfg.<switch>`` record per
+    item of ``switches``; ``kept``, if given, limits the other train records
+    to those it names.
+    """
+    records = pctl.trainer.config_records
+
+    def save(state, path, switches, kept=None):
+        def old_records(cfg):
+            if not isinstance(cfg, TrainConfig):
+                return records(cfg)
+            out = [r for r in records(cfg) if r[0] != "cfg.variant"
+                   and (kept is None or r[0] in kept)]
+            return out + [(f"cfg.{k}", np.float64(v)) for k, v in switches.items()]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pctl.trainer, "config_records", old_records)
+            pctl.trainer.save_checkpoint(state, path)
+
+    return save

@@ -45,13 +45,14 @@ def train_cmd(scene, out, *args):
 
 
 def assert_usage_error(capsys, argv):
-    """``main(argv)`` exits 2 with one ``error:`` line and no warning."""
+    """``main(argv)`` exits 2 with one ``error:`` line and no warning; returns the line."""
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +81,22 @@ class TestGenSynth:
         for name in ("source.hsic", "source.hsil", "target.hsic", "abund.csv"):
             assert (tmp_path / name).read_bytes() == \
                 (scene / "data" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("setting, named", [
+        ("noise_sigma = nan", "noise_sigma"), ("noise_sigma = inf", "noise_sigma"),
+        ("bands = 0", "bands"), ("seed = -1", "seed"),
+        ("concentration_peak = nan", "concentration_peak"),
+        ("concentration_base = nan", "concentration_base"),
+        ("scale = nan", "scale"), ("scale = 0", "scale"), ("offset = inf", "offset")])
+    def test_a_bad_value_exits_2_and_names_it(self, tmp_path, capsys, setting, named):
+        lines = [line for line in SYNTH_CFG.splitlines()
+                 if not line.startswith(f"synth.{named} ")]
+        spec = tmp_path / "synth.cfg"
+        spec.write_text("\n".join(lines + [f"synth.{setting}"]) + "\n")
+        out = tmp_path / "data"
+        err = assert_usage_error(capsys, ["gen-synth", "--spec", str(spec), "--out", str(out)])
+        assert named in err
+        assert not out.exists()
 
     def test_resolved_config_regenerates_identical_bytes(self, scene, tmp_path):
         spec = scene / "data" / "resolved-config.txt"
@@ -144,7 +161,7 @@ class TestTrain:
         for name in ("model.pctl", "metrics.csv", "resolved-config.txt"):
             assert (out / name).read_bytes() == (trained / name).read_bytes(), name
 
-    @pytest.mark.parametrize("flag", ["train.no_mi=true", "train.classifier_only=true"])
+    @pytest.mark.parametrize("flag", ["train.variant=sparse", "train.variant=classifier-only"])
     def test_resume_with_default_flags_keeps_the_checkpoints_settings(
             self, scene, tmp_path, flag):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -157,12 +174,12 @@ class TestTrain:
         assert after.train_cfg == before.train_cfg
         assert after.model_cfg == before.model_cfg
 
-    @pytest.mark.parametrize("flag", ["train.no_mi=false", "model.patch_size=5"])
+    @pytest.mark.parametrize("flag", ["train.variant=full", "model.patch_size=5"])
     def test_resume_with_a_conflicting_setting_exits_2(self, scene, tmp_path,
                                                        capsys, flag):
         first = tmp_path / "first"
         assert train_cmd(scene, first, *TRAIN_OVERRIDES,
-                         "--set", "train.no_mi=true") == 0
+                         "--set", "train.variant=sparse") == 0
         capsys.readouterr()
         second = tmp_path / "second"
         assert train_cmd(scene, second, "--resume",
@@ -194,7 +211,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("setting", [
         "train.learning_rate=-1", "train.learning_rate=nan", "train.alpha=nan",
-        "train.eval_every=-1",
+        "train.eval_every=-1", "train.eval_every=0", "train.seed=-1", "train.variant=bogus",
         "model.mi_hidden=-1", "model.encoder_hidden=-2 3", "model.block_channels=-1 2 2 2 2",
         "model.mi_hidden=0", "model.encoder_hidden=0 3", "model.block_channels=0 0 0 0 0"])
     def test_a_bad_rate_or_width_exits_2(self, scene, tmp_path, capsys, setting):
@@ -213,8 +230,31 @@ class TestTrain:
         assert code == 2
         assert "typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["classifier_only", "shared_decoder_only",
+                                     "no_sparse", "no_mi"])
+    def test_a_removed_ablation_switch_is_an_unknown_key(self, scene, tmp_path, capsys,
+                                                          key):
+        err = assert_usage_error(capsys, ["train", "--source", str(scene / "data/source.hsic"),
+                                          "--target", str(scene / "data/target.hsic"),
+                                          "--out", str(tmp_path / "x"),
+                                          "--set", f"train.{key}=true"])
+        assert f"unknown key 'train.{key}'" in err
+
 
 class TestPredictEvaluate:
+    def test_checkpoint_with_off_ladder_switches_exits_2(self, scene, trained, tmp_path,
+                                                         capsys, save_with_switches):
+        # before train.variant, checkpoints named the variant by four switches;
+        # no variant has a shared decoder and the MI term
+        checkpoint = tmp_path / "old.pctl"
+        save_with_switches(load_checkpoint(trained / "model.pctl"), checkpoint,
+                           dict(classifier_only=0, shared_decoder_only=1, no_sparse=1, no_mi=0))
+        err = assert_usage_error(capsys, ["predict", "--checkpoint", str(checkpoint),
+                                          "--cube", str(scene / "data/target.hsic"),
+                                          "--out", str(tmp_path / "p.hsil")])
+        assert "shared_decoder_only, no_sparse" in err
+        assert not (tmp_path / "p.hsil").exists()
+
     def test_predict_writes_raster(self, scene, trained, tmp_path):
         pred_path = tmp_path / "pred.hsil"
         code = main(["predict", "--checkpoint", str(trained / "model.pctl"),
@@ -304,6 +344,15 @@ class TestProject2d:
                                     "--out", str(out), "--max-per-class", cap])
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, scene, trained, tmp_path, capsys):
+        out = tmp_path / "proj"
+        err = assert_usage_error(capsys, ["project2d", "--checkpoint", str(trained / "model.pctl"),
+                                          "--source", str(scene / "data/source.hsic"),
+                                          "--target", str(scene / "data/target.hsic"),
+                                          "--out", str(out), "--seed", "-1"])
+        assert "--seed" in err
+        assert not out.exists()
+
 
 class TestAblateCommand:
     def test_small_ablation_table(self, scene, tmp_path):
@@ -385,12 +434,12 @@ class TestRunConfig:
         assert set(settable(ModelConfig)) == names(ModelConfig) - {"bands", "num_classes"}
         assert set(settable(SynthSpec)) == names(SynthSpec) - {"concentrations", "basis"}
         assert [len(settable(c)) for c in (TrainConfig, ModelConfig, SynthSpec)] == \
-            [15, 10, 11]
+            [12, 10, 11]
 
     def test_resolved_text_reads_back(self, tmp_path):
         model_cfg = ModelConfig(bands=30, num_classes=4, stick_transform="standard",
                                 encoder_hidden=[9, 5], dropout_rate=0.1)
-        train_cfg = TrainConfig(learning_rate=3e-4, no_sparse=True)
+        train_cfg = TrainConfig(learning_rate=3e-4, variant="affine-decoder")
         spec = SynthSpec(scale=np.linspace(0.5, 0.9, 40), offset=np.float64(0.2))
         path = tmp_path / "resolved.txt"
         path.write_text(resolved_text(model_cfg, train_cfg, spec))

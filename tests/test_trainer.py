@@ -28,7 +28,6 @@ from pctl.trainer import (
     run_ablation,
     save_checkpoint,
     train,
-    variant_flags,
 )
 
 
@@ -57,6 +56,7 @@ def params_snapshot(state):
     return {name: t.data.copy() for name, t in state.parameters()}
 
 
+
 class TestConfigs:
     def test_negative_weights_rejected(self):
         with pytest.raises(ConfigError):
@@ -70,7 +70,7 @@ class TestConfigs:
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", -1.0), ("learning_rate", 0.0), ("learning_rate", np.nan),
         ("learning_rate", np.inf), ("alpha", np.nan), ("mi_weight", np.inf),
-        ("eval_every", -1)])
+        ("eval_every", -1), ("eval_every", 0), ("seed", -1)])
     def test_bad_rates_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             TrainConfig(**{key: value})
@@ -92,22 +92,30 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=key):
             tiny_model(**{key: value})
 
-    def test_conflicting_flags_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(classifier_only=True, shared_decoder_only=True)
-
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigError):
-            variant_flags("bogus")
+        with pytest.raises(ConfigError, match="variant"):
+            TrainConfig(variant="bogus")
 
     def test_training_cannot_change_the_modules(self):
         source, target, _ = tiny_scene()
-        state = ModelState(tiny_model(), tiny_train(no_mi=True), seed=3)
-        with pytest.raises(ConfigError, match="no_mi=True"):
+        built = tiny_train(variant="sparse")
+        state = ModelState(tiny_model(), built, seed=3)
+        with pytest.raises(ConfigError, match="'sparse'"):
             train(state, source, target, tiny_train())
-        cfg = tiny_train(no_mi=True, epochs=1, learning_rate=1e-2)
+        assert state.train_cfg is built
+        cfg = tiny_train(variant="sparse", epochs=1, learning_rate=1e-2)
         train(state, source, target, cfg)
         assert state.train_cfg == cfg
+
+    def test_failed_checks_keep_the_state_config(self):
+        source, target, _ = tiny_scene()
+        built = tiny_train()
+        state = ModelState(tiny_model(bands=12), built, seed=3)
+        with pytest.raises(ContractError):
+            train(state, source.without_labels(), target, tiny_train(epochs=1))
+        with pytest.raises(DataMismatchError):
+            train(state, source, target, tiny_train(epochs=1))
+        assert state.train_cfg is built
 
 
 class TestLossComposition:
@@ -131,7 +139,7 @@ class TestLossComposition:
 
     def test_zero_weights_reduce_to_recon_plus_classification(self):
         source, target, _ = tiny_scene()
-        cfg = tiny_train(alpha=0.0, mi_weight=0.0, no_sparse=True, no_mi=True)
+        cfg = tiny_train(alpha=0.0, mi_weight=0.0, variant="affine-decoder")
         state = ModelState(tiny_model(), cfg, seed=2)
         xs, xt = source.pixels()[:8], target.pixels()[:8]
         centers = np.argwhere(source.labels > 0)[:4]
@@ -143,7 +151,7 @@ class TestLossComposition:
 
     def test_classifier_only_has_no_reconstruction(self):
         source, target, _ = tiny_scene()
-        cfg = tiny_train(classifier_only=True)
+        cfg = tiny_train(variant="classifier-only")
         state = ModelState(tiny_model(), cfg, seed=3)
         assert state.decoder is None and state.mi_disc is None
         names = [n for n, _ in state.parameters()]
@@ -156,7 +164,7 @@ class TestLossComposition:
         assert set(parts) == {"LS", "total"}
 
     def test_shared_decoder_has_no_affine_parameters(self):
-        cfg = tiny_train(shared_decoder_only=True, no_sparse=True, no_mi=True)
+        cfg = tiny_train(variant="shared-decoder")
         state = ModelState(tiny_model(), cfg, seed=4)
         names = [n for n, _ in state.parameters()]
         assert any(n.startswith("dec.basis_out") for n in names)
@@ -355,11 +363,10 @@ class TestCheckpoint:
                                mi_hidden=7, dropout_rate=0.25)
         common = dict(alpha=0.002, mi_weight=0.2, learning_rate=2e-3, batch_recon=16,
                       batch_class=4, epochs=1, steps_per_epoch=2, seed=3,
-                      label_fraction=0.3, eval_every=3, eval_samples=9,
-                      no_sparse=True, no_mi=True)
-        cfgs = [TrainConfig(**common, shared_decoder_only=True),
-                TrainConfig(**common, classifier_only=True),
-                TrainConfig(**{**common, "no_mi": False})]
+                      label_fraction=0.3, eval_every=3, eval_samples=9)
+        cfgs = [TrainConfig(**common, variant="shared-decoder"),
+                TrainConfig(**common, variant="classifier-only"),
+                TrainConfig(**common, variant="full")]
         for f in fields(TrainConfig):
             assert any(getattr(c, f.name) != getattr(TrainConfig(), f.name)
                        for c in cfgs), f.name
@@ -377,20 +384,47 @@ class TestCheckpoint:
         assert "enc.beta_raw" not in dict(loaded.parameters())
         assert loaded.classifier.dropout.rate == 0.25
 
-    def test_missing_train_records_load_as_defaults(self, tmp_path, monkeypatch):
-        # older checkpoints store only these four of the train fields
-        kept = {"cfg.classifier_only", "cfg.shared_decoder_only", "cfg.no_mi", "cfg.seed"}
-        records = pctl.trainer.config_records
-        monkeypatch.setattr(pctl.trainer, "config_records", lambda cfg: [
-            r for r in records(cfg) if not isinstance(cfg, TrainConfig) or r[0] in kept])
-        state = ModelState(tiny_model(), tiny_train(epochs=0, alpha=0.5, no_mi=True),
+    def test_missing_train_records_load_as_defaults(self, tmp_path, save_with_switches):
+        # older checkpoints store only these four train records: the seed and
+        # three switches, which name the sparse variant
+        state = ModelState(tiny_model(), tiny_train(epochs=0, alpha=0.5, variant="sparse"),
                            seed=14)
         path = tmp_path / "m.pctl"
-        save_checkpoint(state, path)
-        monkeypatch.undo()
+        save_with_switches(state, path, dict(classifier_only=0, shared_decoder_only=0, no_mi=1),
+                           kept={"cfg.seed"})
         loaded = load_checkpoint(path)
         assert loaded.model_cfg == state.model_cfg
-        assert loaded.train_cfg == TrainConfig(seed=9, no_mi=True)
+        assert loaded.train_cfg == TrainConfig(seed=9, variant="sparse")
+
+    @pytest.mark.parametrize("variant, switches", [
+        ("classifier-only", dict(classifier_only=1)),
+        ("classifier-only", dict(classifier_only=1, no_sparse=1)),
+        ("shared-decoder", dict(shared_decoder_only=1, no_sparse=1, no_mi=1)),
+        ("affine-decoder", dict(no_sparse=1, no_mi=1)),
+        ("sparse", dict(no_mi=1)),
+        ("full", {}),
+    ])
+    def test_switch_records_load_as_their_rung(self, tmp_path, save_with_switches,
+                                               variant, switches):
+        source, _, _ = tiny_scene()
+        state = ModelState(tiny_model(), tiny_train(epochs=0, variant=variant), seed=14)
+        path = tmp_path / "m.pctl"
+        save_with_switches(state, path, switches)
+        loaded = load_checkpoint(path)
+        assert loaded.train_cfg == state.train_cfg
+        npt.assert_array_equal(predict(state, source), predict(loaded, source))
+
+    @pytest.mark.parametrize("switches, named", [
+        (dict(no_sparse=1), "no_sparse"),
+        (dict(shared_decoder_only=1, no_sparse=1), "shared_decoder_only, no_sparse"),
+    ])
+    def test_off_ladder_switches_are_a_parse_error(self, tmp_path, save_with_switches,
+                                                   switches, named):
+        path = tmp_path / "m.pctl"
+        save_with_switches(ModelState(tiny_model(), tiny_train(), seed=14),
+                           path, switches)
+        with pytest.raises(ParseError, match=f"switches {named}$"):
+            load_checkpoint(path)
 
     def test_checkpoint_magic(self, tmp_path):
         source, target, _ = tiny_scene()
@@ -424,7 +458,7 @@ class TestCheckpoint:
 
     def test_variant_checkpoints_rebuild_their_structure(self, tmp_path):
         source, target, _ = tiny_scene()
-        cfg = tiny_train(epochs=1, classifier_only=True)
+        cfg = tiny_train(epochs=1, variant="classifier-only")
         state = ModelState(tiny_model(), cfg, seed=16)
         train(state, source, target, cfg)
         path = tmp_path / "clf-only.pctl"
