@@ -161,18 +161,30 @@ class TestTrain:
         for name in ("model.pctl", "metrics.csv", "resolved-config.txt"):
             assert (out / name).read_bytes() == (trained / name).read_bytes(), name
 
-    @pytest.mark.parametrize("flag", ["train.variant=sparse", "train.variant=classifier-only"])
+    # each case also resumes the checkpoint rewritten as files before
+    # train.variant stored it: with the one switch record its id names
+    @pytest.mark.parametrize("variant, switches", [
+        pytest.param("classifier-only", dict(classifier_only=1),
+                     id="train.classifier_only=true"),
+        pytest.param("sparse", dict(no_mi=1), id="train.no_mi=true"),
+    ])
     def test_resume_with_default_flags_keeps_the_checkpoints_settings(
-            self, scene, tmp_path, flag):
+            self, scene, tmp_path, save_with_switches, variant, switches):
         first, second = tmp_path / "first", tmp_path / "second"
-        assert train_cmd(scene, first, *TRAIN_OVERRIDES, "--set", flag,
+        assert train_cmd(scene, first, *TRAIN_OVERRIDES, "--set", f"train.variant={variant}",
                          "--set", "train.epochs=1") == 0
         assert train_cmd(scene, second, "--resume", str(first / "model.pctl")) == 0
         before = load_checkpoint(first / "model.pctl")
         after = load_checkpoint(second / "model.pctl")
         assert after.step == 2
         assert after.train_cfg == before.train_cfg
+        assert after.train_cfg.variant == variant
         assert after.model_cfg == before.model_cfg
+        old, third = tmp_path / "old.pctl", tmp_path / "third"
+        save_with_switches(before, old, switches)
+        assert train_cmd(scene, third, "--resume", str(old)) == 0
+        for name in ("model.pctl", "metrics.csv", "resolved-config.txt"):
+            assert (third / name).read_bytes() == (second / name).read_bytes(), name
 
     @pytest.mark.parametrize("flag", ["train.variant=full", "model.patch_size=5"])
     def test_resume_with_a_conflicting_setting_exits_2(self, scene, tmp_path,
