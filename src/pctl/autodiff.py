@@ -49,25 +49,13 @@ class Tape:
                 or self.nodes[loss.node_id].out is not loss:
             raise ContractError("loss tensor is not recorded on this tape")
 
-        # Mark the ancestry of the loss so unrelated nodes are skipped.
-        reachable: set[int] = set()
-        stack = [loss.node_id]
-        while stack:
-            nid = stack.pop()
-            if nid in reachable:
-                continue
-            reachable.add(nid)
-            for p in self.nodes[nid].parents:
-                if p.node_id is not None and p.node_id not in reachable:
-                    stack.append(p.node_id)
-
         if loss.grad is None:
             loss.grad = np.zeros_like(loss.data)
         loss.grad += 1.0
 
+        # Only ancestors of the loss receive a gradient, so a node whose output
+        # has none is not on a path to the loss and is skipped.
         for nid in range(loss.node_id, -1, -1):
-            if nid not in reachable:
-                continue
             node = self.nodes[nid]
             gout = node.out.grad
             if gout is None:

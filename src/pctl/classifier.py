@@ -74,9 +74,6 @@ class Classifier3d:
         self.dropout = Dropout(cfg.dropout_rate, rng=dropout_rng)
         self.head = DenseLayer(flat, cfg.num_classes, activation="none", rng=rng)
 
-    def input_channels(self, block_index: int) -> int:
-        return 1 + sum(self.cfg.block_channels[:block_index])
-
     def logits(self, x: Tensor, train: bool) -> Tensor:
         """Class scores for abundance patches ``x`` of shape [batch, 1, c, P, P]."""
         c, p = self.cfg.abundance_dim, self.cfg.patch_size

@@ -24,7 +24,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import SynthSpec
-from .encoder import BETA_MODES, STICK_TRANSFORMS, default_hidden_widths
+from .encoder import STICK_TRANSFORMS, default_hidden_widths
 from .errors import ConfigError
 
 # The ablation ladder, one rung per variant. A checkpoint stores the variant as
@@ -54,9 +54,6 @@ class ModelConfig:
     abundance_dim: Optional[int] = None
     encoder_hidden: Optional[list[int]] = None
     stick_transform: str = field(default="printed", metadata={"choices": STICK_TRANSFORMS})
-    beta_mode: str = field(default="learnable", metadata={"choices": BETA_MODES})
-    beta_shared: bool = False
-    per_band_affine: bool = True
     mi_hidden: int = 13
     patch_size: int = 11
     block_channels: list[int] = field(default_factory=lambda: [12, 32, 12, 12, 30])
@@ -147,18 +144,7 @@ def settable(cls) -> dict:
             if f.metadata.get("settable", True)}
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 def _parse(kind, text: str):
-    if kind is bool:
-        return _parse_bool(text)
     parts = text.replace(",", " ").split()
     if get_origin(kind) is list:
         (item,) = get_args(kind)

@@ -100,7 +100,7 @@ def write_labels(labels: np.ndarray, path) -> None:
         fh.write(labels.astype("<u2").tobytes())
 
 
-def read_cube(path, with_labels: bool = True) -> HsiCube:
+def read_cube(path) -> HsiCube:
     """Read a cube; a sibling label file is attached when it exists."""
     path = Path(path)
     raw = path.read_bytes()
@@ -119,7 +119,7 @@ def read_cube(path, with_labels: bool = True) -> HsiCube:
     data = np.frombuffer(raw, dtype="<f4", offset=16).reshape(h, w, l)
     labels = None
     label_path = path.with_suffix(LABEL_SUFFIX)
-    if with_labels and label_path.exists():
+    if label_path.exists():
         labels = read_labels(label_path, expect_shape=(h, w))
     return HsiCube(data.astype(np.float64), labels)
 

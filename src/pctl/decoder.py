@@ -77,7 +77,7 @@ class PlainDecoder:
 
 
 class AffineDecoder(PlainDecoder):
-    """Shared endmember matrix plus one (scale, offset) pair per domain.
+    """Shared endmember matrix plus one per-band (scale, offset) pair per domain.
 
     Scales start at 1 and offsets at 0, so an untrained decoder treats both
     domains identically.
@@ -85,11 +85,10 @@ class AffineDecoder(PlainDecoder):
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
-        n = cfg.bands if cfg.per_band_affine else 1
-        self.src_scale = Tensor(np.ones(n), requires_grad=True)
-        self.src_offset = Tensor(np.zeros(n), requires_grad=True)
-        self.tgt_scale = Tensor(np.ones(n), requires_grad=True)
-        self.tgt_offset = Tensor(np.zeros(n), requires_grad=True)
+        self.src_scale = Tensor(np.ones(cfg.bands), requires_grad=True)
+        self.src_offset = Tensor(np.zeros(cfg.bands), requires_grad=True)
+        self.tgt_scale = Tensor(np.ones(cfg.bands), requires_grad=True)
+        self.tgt_offset = Tensor(np.zeros(cfg.bands), requires_grad=True)
 
     def decode_source(self, a: SimplexBatch) -> Tensor:
         return self.basis(a) * self.src_scale + self.src_offset
@@ -110,8 +109,6 @@ class AffineDecoder(PlainDecoder):
         scale = np.divide(source_pixels.std(axis=0), std_t,
                           out=np.ones_like(std_t), where=std_t > 0)
         offset = source_pixels.mean(axis=0) - scale * target_pixels.mean(axis=0)
-        if not self.cfg.per_band_affine:
-            scale, offset = scale.mean(keepdims=True), offset.mean(keepdims=True)
         self.src_scale.data[...] = scale
         self.src_offset.data[...] = offset
 

@@ -28,7 +28,6 @@ U_CLIP = 1e-12
 # Checkpoints store a choice as its index in these tuples: append, never reorder.
 # Stick transform "printed": v = u^(1/beta); "standard": v = 1-(1-u)^(1/beta).
 STICK_TRANSFORMS = ("printed", "standard")
-BETA_MODES = ("learnable", "fixed")
 
 
 def default_hidden_widths(bands: int, abundance_dim: int, depth: int = 6) -> list[int]:
@@ -106,22 +105,17 @@ class Encoder:
                        for i in range(len(dims) - 1)]
         self.head = DenseLayer(dims[-1], cfg.abundance_dim - 1,
                                activation="sigmoid", rng=rng)
-        n_beta = 1 if cfg.beta_shared else cfg.abundance_dim - 1
-        # softplus(raw) == 1: beta starts at 1, where both stick transforms are the identity
-        self.beta_raw = Tensor(np.full(n_beta, np.log(np.expm1(1.0))),
-                               requires_grad=cfg.beta_mode == "learnable")
-
-    def stick_beta(self) -> Tensor:
-        if self.cfg.beta_mode == "learnable":
-            return ad.softplus(self.beta_raw)
-        return Tensor(np.log1p(np.exp(self.beta_raw.data)))
+        # one learnable beta = softplus(raw) per stick; softplus(raw) == 1 at the
+        # start, where both stick transforms are the identity
+        self.beta_raw = Tensor(np.full(cfg.abundance_dim - 1, np.log(np.expm1(1.0))),
+                               requires_grad=True)
 
     def encode(self, x: Tensor) -> SimplexBatch:
         h = x
         for layer in self.hidden:
             h = layer(h)
         u = ad.clamp(self.head(h), U_CLIP, 1.0 - U_CLIP)
-        v = kumaraswamy_transform(u, self.stick_beta(),
+        v = kumaraswamy_transform(u, ad.softplus(self.beta_raw),
                                   standard=self.cfg.stick_transform == "standard")
         return stick_breaking(v)
 
@@ -133,20 +127,18 @@ class Encoder:
         for i, layer in enumerate(self.hidden):
             out += [(f"hidden{i}.{n}", t) for n, t in layer.parameters()]
         out += [(f"head.{n}", t) for n, t in self.head.parameters()]
-        if self.cfg.beta_mode == "learnable":
-            out.append(("beta_raw", self.beta_raw))
-        return out
+        return out + [("beta_raw", self.beta_raw)]
 
 
-def normalized_entropy(a, p: float = 1.0) -> Tensor:
+def normalized_entropy(a) -> Tensor:
     """Scale-free entropy of nonnegative rows, averaged over the batch.
 
-    Each row is normalized by its p-norm to the p-th power, then scored with
-    Shannon entropy; 0*log(0) is defined as 0 via an epsilon-clamped log.
-    Sparser rows score strictly lower even when their l1 norms are equal.
+    Each row is normalized by its l1 norm, then scored with Shannon entropy;
+    0*log(0) is defined as 0 via an epsilon-clamped log. Sparser rows score
+    strictly lower even when their l1 norms are equal.
     """
     values = a.values if isinstance(a, SimplexBatch) else a
-    mag = ad.power(ad.absolute(values), p) if p != 1.0 else ad.absolute(values)
+    mag = ad.absolute(values)
     q = mag / ad.reduce_sum(mag, axis=1, keepdims=True)
     log_q = ad.log(ad.clamp(q, ENTROPY_EPS, np.inf))
     return ad.reduce_mean(ad.reduce_sum(q * log_q * -1.0, axis=1))

@@ -48,6 +48,16 @@ from .rng import StreamSet
 
 CHECKPOINT_MAGIC = b"PCTL"
 CHECKPOINT_VERSION = 1
+# pixels encoded per call when mapping a whole cube, and patches per
+# classifier call when predicting
+ENCODE_CHUNK = 4096
+PREDICT_BATCH = 256
+# Model switches that are gone, each with the record value of the one network
+# that is kept and the names of its record values. Older checkpoints may still
+# store them; only the kept value loads.
+REMOVED_SWITCHES = {"beta_mode": (0, ("learnable", "fixed")),
+                    "beta_shared": (0, ("false", "true")),
+                    "per_band_affine": (1, ("false", "true"))}
 
 
 class ModelState:
@@ -261,19 +271,19 @@ def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig)
     return rows
 
 
-def abundance_map(state: ModelState, cube: HsiCube, chunk: int = 4096) -> np.ndarray:
+def abundance_map(state: ModelState, cube: HsiCube) -> np.ndarray:
     """Encode every pixel once; [H, W, c] result, no gradients."""
     pixels = cube.pixels()
     out = np.empty((pixels.shape[0], state.model_cfg.abundance_dim))
     with no_grad():
-        for start in range(0, pixels.shape[0], chunk):
-            tile = pixels[start:start + chunk]
+        for start in range(0, pixels.shape[0], ENCODE_CHUNK):
+            tile = pixels[start:start + ENCODE_CHUNK]
             out[start:start + len(tile)] = state.encoder.encode(Tensor(tile)).values.data
     return out.reshape(cube.height, cube.width, -1)
 
 
 def predict_centers(state: ModelState, cube: HsiCube, centers: np.ndarray,
-                    batch: int = 256, return_proba: bool = False):
+                    return_proba: bool = False):
     """Class ids (1-based) for the given pixel centers of a cube."""
     if cube.bands != state.model_cfg.bands:
         raise DataMismatchError(
@@ -282,8 +292,8 @@ def predict_centers(state: ModelState, cube: HsiCube, centers: np.ndarray,
     preds = np.empty(len(centers), dtype=np.int64)
     probas = np.empty((len(centers), state.model_cfg.num_classes)) if return_proba else None
     with no_grad():
-        for start in range(0, len(centers), batch):
-            chunk = centers[start:start + batch]
+        for start in range(0, len(centers), PREDICT_BATCH):
+            chunk = centers[start:start + PREDICT_BATCH]
             patch = abundance_patches_from_map(amap, chunk,
                                                state.model_cfg.patch_size)
             logits = state.classifier.logits(patch, train=False).data
@@ -293,14 +303,12 @@ def predict_centers(state: ModelState, cube: HsiCube, centers: np.ndarray,
     return (preds, probas) if return_proba else preds
 
 
-def predict(state: ModelState, cube: HsiCube, batch: int = 256,
-            return_proba: bool = False):
+def predict(state: ModelState, cube: HsiCube, return_proba: bool = False):
     """Per-pixel class raster for a whole cube; pure in the frozen state."""
     rows, cols = np.meshgrid(np.arange(cube.height), np.arange(cube.width),
                              indexing="ij")
     centers = np.stack([rows.reshape(-1), cols.reshape(-1)], axis=1)
-    result = predict_centers(state, cube, centers, batch=batch,
-                             return_proba=return_proba)
+    result = predict_centers(state, cube, centers, return_proba=return_proba)
     if return_proba:
         preds, probas = result
         return (preds.reshape(cube.height, cube.width),
@@ -450,6 +458,13 @@ def load_checkpoint(path) -> ModelState:
     rec = _read_records(path)
     if "cfg.variant" not in rec:
         rec["cfg.variant"] = ABLATION_VARIANTS.index(_legacy_variant(rec, path))
+    for name, (kept, values) in REMOVED_SWITCHES.items():
+        stored = rec.get(f"cfg.{name}", kept)
+        if stored != kept:
+            value = values[int(stored)] if stored in (0, 1) else float(stored)
+            raise ParseError(f"{path}: the checkpoint was trained with model.{name} = "
+                             f"{value}, which is no longer supported; only "
+                             f"{values[kept]} loads")
     try:
         model_cfg = from_records(ModelConfig, rec)
         train_cfg = from_records(TrainConfig, rec)

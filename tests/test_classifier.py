@@ -51,7 +51,6 @@ class TestDenseConnectivity:
         for i, block in enumerate(clf.blocks):
             expected = 1 + sum(cfg.block_channels[:i])
             assert block.kernels.shape[1] == expected
-            assert clf.input_channels(i) == expected
 
     def test_default_table_channels(self):
         cfg = ModelConfig(bands=4, abundance_dim=4, num_classes=3, patch_size=5)

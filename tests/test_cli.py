@@ -1,12 +1,15 @@
+import re
+import struct
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from pctl.cli import main
-from pctl.config import ModelConfig, RunConfig, resolved_text, settable
+from pctl.config import SECTIONS, ModelConfig, RunConfig, resolved_text, settable
 from pctl.data import HsiCube, SynthSpec, read_cube, read_labels, write_cube, write_labels
 from pctl.errors import ConfigError
 from pctl.trainer import ModelState, TrainConfig, load_checkpoint, predict
@@ -267,6 +270,31 @@ class TestPredictEvaluate:
         assert "shared_decoder_only, no_sparse" in err
         assert not (tmp_path / "p.hsil").exists()
 
+    @pytest.mark.parametrize("name, kept, removed, named", [
+        ("beta_mode", 0, 1, "model.beta_mode = fixed"),
+        ("beta_shared", 0, 1, "model.beta_shared = true"),
+        ("per_band_affine", 1, 0, "model.per_band_affine = false")])
+    def test_checkpoint_with_a_removed_model_switch(self, scene, trained, tmp_path, capsys,
+                                                    name, kept, removed, named):
+        # older checkpoints store three model switches that are gone; each
+        # loads at the value of the one network kept, and exits 2 at another
+        def predict_with(value, out):
+            encoded = f"cfg.{name}".encode()
+            checkpoint = tmp_path / f"{value}.pctl"
+            checkpoint.write_bytes((trained / "model.pctl").read_bytes()
+                                   + struct.pack("<H", len(encoded)) + encoded
+                                   + struct.pack("<Bd", 0, value))
+            return ["predict", "--checkpoint", str(checkpoint),
+                    "--cube", str(scene / "data/target.hsic"), "--out", str(out)]
+
+        assert main(predict_with(kept, tmp_path / "kept.hsil")) == 0
+        state = load_checkpoint(trained / "model.pctl")
+        npt.assert_array_equal(read_labels(tmp_path / "kept.hsil"),
+                               predict(state, read_cube(scene / "data/target.hsic")))
+        err = assert_usage_error(capsys, predict_with(removed, tmp_path / "p.hsil"))
+        assert named in err
+        assert not (tmp_path / "p.hsil").exists()
+
     def test_predict_writes_raster(self, scene, trained, tmp_path):
         pred_path = tmp_path / "pred.hsil"
         code = main(["predict", "--checkpoint", str(trained / "model.pctl"),
@@ -446,7 +474,20 @@ class TestRunConfig:
         assert set(settable(ModelConfig)) == names(ModelConfig) - {"bands", "num_classes"}
         assert set(settable(SynthSpec)) == names(SynthSpec) - {"concentrations", "basis"}
         assert [len(settable(c)) for c in (TrainConfig, ModelConfig, SynthSpec)] == \
-            [12, 10, 11]
+            [12, 7, 11]
+
+    def test_readme_table_lists_the_settable_keys(self):
+        # each row names its keys in field order; parenthesized notes may
+        # mention values, and a trailing sentence may repeat keys
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.M))
+        assert set(rows) == set(SECTIONS)
+        for section, cls in SECTIONS.items():
+            text, prev = rows[section], None
+            while text != prev:
+                prev, text = text, re.sub(r"\([^()]*\)", "", text)
+            named = dict.fromkeys(re.findall(r"`(\w+)`", text))
+            assert list(named) == list(settable(cls)), section
 
     def test_resolved_text_reads_back(self, tmp_path):
         model_cfg = ModelConfig(bands=30, num_classes=4, stick_transform="standard",

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pctl.config import RunConfig
 from pctl.data import (
     HsiCube,
     SynthSpec,
@@ -13,6 +16,9 @@ from pctl.data import (
     write_labels,
 )
 from pctl.errors import ConfigError, ContractError, ParseError
+
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 def random_cube(rng, h=5, w=4, l=6, labeled=True):
@@ -220,3 +226,23 @@ class TestGenerator:
     def test_target_labels_present_for_evaluation(self):
         _, target, _ = generate_synthetic_pair(SynthSpec(seed=14))
         assert target.labels is not None and target.labels.max() == 4
+
+
+class TestSceneFiles:
+    # the committed band-dependent shifts, as functions of t = band / 39
+    @pytest.mark.parametrize("name, scale, offset", [
+        ("ramp", lambda t: 0.5 + 0.4 * t, lambda t: 0.15 - 0.1 * t),
+        ("bump", lambda t: 0.7 + 0.25 * np.sin(2 * np.pi * t),
+         lambda t: 0.1 + 0.05 * np.cos(2 * np.pi * t)),
+    ])
+    def test_scene_generates_its_band_dependent_shift(self, name, scale, offset):
+        spec = RunConfig(SCENES / f"{name}.txt", sections=("synth",)).synth_spec()
+        t = np.arange(40) / 39
+        npt.assert_allclose(spec.scale, scale(t), atol=1e-6)
+        npt.assert_allclose(spec.offset, offset(t), atol=1e-6)
+        source, target, truth = generate_synthetic_pair(spec)
+        assert source.bands == target.bands == 40
+        # the source basis is the target's under a scale that varies by band
+        assert np.ptp(spec.scale) > 0.1
+        npt.assert_array_equal(truth["basis_source"],
+                               spec.scale * truth["basis_target"] + spec.offset)

@@ -78,14 +78,6 @@ class TestAffineBranches:
                         + ad.reduce_sum(decoder.decode_target(a) * Tensor(w)),
                         params) < 1e-5
 
-    def test_scalar_affine_mode(self):
-        dec = AffineDecoder(ModelConfig(bands=8, num_classes=2, abundance_dim=4,
-                                        per_band_affine=False),
-                            rng=np.random.default_rng(6))
-        assert dec.src_scale.data.shape == (1,)
-        a = make_batch(np.random.default_rng(7), 3, 4)
-        assert dec.decode_source(a).shape == (3, 8)
-
 
 class TestInitialization:
     def test_successive_projections_find_the_pure_pixels(self):

@@ -177,10 +177,6 @@ class TestNormalizedEntropy:
         diffs = np.diff(values)
         assert np.all(diffs < 0.0)
 
-    def test_general_p_normalizes(self):
-        h = normalized_entropy(Tensor([[0.5, 0.5]]), p=2.0)
-        npt.assert_allclose(h.item(), np.log(2.0), atol=1e-12)
-
     def test_gradient(self):
         rng = np.random.default_rng(11)
         raw = rng.uniform(0.05, 1.0, (6, 4))

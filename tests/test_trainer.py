@@ -77,7 +77,6 @@ class TestConfigs:
 
     @pytest.mark.parametrize("key, value", [
         pytest.param("stick_transform", "bogus", id="stick_transform"),
-        pytest.param("beta_mode", "bogus", id="beta_mode"),
         pytest.param("num_classes", 1, id="one_class"),
         pytest.param("abundance_dim", 1, id="abundance_dim_1"),
         pytest.param("patch_size", 4, id="even_patch"),
@@ -358,9 +357,7 @@ class TestCheckpoint:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_configs_survive_round_trip(self, tmp_path):
-        model_cfg = tiny_model(stick_transform="standard", beta_mode="fixed",
-                               beta_shared=True, per_band_affine=False,
-                               mi_hidden=7, dropout_rate=0.25)
+        model_cfg = tiny_model(stick_transform="standard", mi_hidden=7, dropout_rate=0.25)
         common = dict(alpha=0.002, mi_weight=0.2, learning_rate=2e-3, batch_recon=16,
                       batch_class=4, epochs=1, steps_per_epoch=2, seed=3,
                       label_fraction=0.3, eval_every=3, eval_samples=9)
@@ -378,10 +375,9 @@ class TestCheckpoint:
             assert loaded.model_cfg == state.model_cfg
             assert loaded.train_cfg == state.train_cfg
         # the last variant builds every module, and each reads its settings
-        assert [v.shape for v in loaded.decoder.affine_pairs().values()] == [(1,)] * 4
+        assert [v.shape for v in loaded.decoder.affine_pairs().values()] == [(10,)] * 4
         assert loaded.mi_disc.dense0.out_dim == 7
-        assert loaded.encoder.beta_raw.shape == (1,)
-        assert "enc.beta_raw" not in dict(loaded.parameters())
+        assert dict(loaded.parameters())["enc.beta_raw"].shape == (4,)
         assert loaded.classifier.dropout.rate == 0.25
 
     def test_missing_train_records_load_as_defaults(self, tmp_path, save_with_switches):
