@@ -431,6 +431,14 @@ def cumprod(a: Tensor, axis: int = -1, exclusive: bool = False) -> Tensor:
 
 # -- 3-D convolution ----------------------------------------------------------
 
+# float64 values in one conv3d column tile (512 KiB), the operand of one GEMM
+TILE_ELEMENTS = 1 << 16
+# The column tile's storage, kept across calls: a fresh buffer of this size
+# costs a page fault per 4 KiB on every call. Every tile is written before it
+# is read, and autodiff runs on one thread, as its tape does.
+_tile_store = np.empty(0)
+
+
 def _pad_spec(padding):
     """Normalize padding to three (lo, hi) pairs."""
     if isinstance(padding, int):
@@ -443,19 +451,107 @@ def _pad_spec(padding):
     return spec
 
 
+def _pad(a, pads):
+    """Zero-pad the spatial axes of a channels-last [N, D, H, W, C] array by
+    (lo, hi) each, into a new contiguous buffer."""
+    (dl, dh), (hl, hh), (wl, wh) = pads
+    n, d, h, w, c = a.shape
+    out = np.zeros((n, d + dl + dh, h + hl + hh, w + wl + wh, c))
+    out[:, dl:dl + d, hl:hl + h, wl:wl + w] = a
+    return out
+
+
+def _tiling(n, voxels, kd, kh, row):
+    """Samples per column tile, the kernel-row groups (i0, i1, j0, j1) that
+    take one GEMM per tile each, and the largest tile's size.
+
+    A kernel row adds ``voxels * row`` values per sample to a tile. When one
+    sample's kd*kh rows fit TILE_ELEMENTS they form one group, and a tile holds
+    as many samples as fit. Otherwise a tile holds one sample, and the rows
+    split as evenly as the budget allows: into groups of whole depth taps,
+    or, when one depth tap does not fit, into runs of rows within one. A
+    single row of one sample is the smallest tile, even above the budget.
+    """
+    per_row = voxels * row
+    fit = max(1, TILE_ELEMENTS // per_row)
+    if fit >= kd * kh:
+        per_tile = min(n, max(1, TILE_ELEMENTS // (per_row * kd * kh)))
+        return per_tile, ((0, kd, 0, kh),), per_tile * per_row * kd * kh
+    if fit >= kh:
+        parts = -(-kd // (fit // kh))
+        groups = tuple((p * kd // parts, (p + 1) * kd // parts, 0, kh) for p in range(parts))
+        return 1, groups, -(-kd // parts) * kh * per_row
+    parts = -(-kh // fit)
+    groups = tuple((i, i + 1, p * kh // parts, (p + 1) * kh // parts)
+                   for i in range(kd) for p in range(parts))
+    return 1, groups, -(-kh // parts) * per_row
+
+
+def _tiles(xl, out_dims, kd, kh, kw):
+    """Yield (first row, end row, group, tile) over a padded channels-last
+    input ``xl``: ``tile`` is the [rows, group's kernel rows * kw * c] column
+    matrix of one batch tile and one kernel-row group, its rows counting the
+    [N, *out_dims] output voxels. The storage is reused, so a tile is valid
+    until the next one is yielded.
+
+    The kw taps of kernel row (i, j) read one contiguous run of kw*c values
+    per output voxel, so a strided view of those runs needs no copy, and a
+    tile is one copy out of it.
+    """
+    global _tile_store
+    n, c = xl.shape[0], xl.shape[4]
+    row = kw * c
+    voxels = out_dims[0] * out_dims[1] * out_dims[2]
+    per_tile, groups, size = _tiling(n, voxels, kd, kh, row)
+    if _tile_store.size < size:
+        _tile_store = np.empty(size)
+    sn, sd, sh, sw, sc = xl.strides
+    runs = np.ndarray((n, *out_dims, kd, kh, row), xl.dtype, xl, 0,
+                      (sn, sd, sh, sw, sd, sh, sc))
+    for n0 in range(0, n, per_tile):
+        n1 = min(n0 + per_tile, n)
+        for group in groups:
+            i0, i1, j0, j1 = group
+            tile = _tile_store[:(n1 - n0) * voxels * (i1 - i0) * (j1 - j0) * row]
+            tile.shape = (n1 - n0, *out_dims, i1 - i0, j1 - j0, row)
+            tile[...] = runs[n0:n1, :, :, :, i0:i1, j0:j1]
+            tile.shape = ((n1 - n0) * voxels, -1)
+            yield n0 * voxels, n1 * voxels, group, tile
+
+
+def _correlate(xl, kmat, kw, out):
+    """out [N, Do, Ho, Wo, c_out] = the correlation of the padded channels-last
+    ``xl`` with ``kmat`` [kd, kh, kw * c_in, c_out]: one GEMM per tile and
+    kernel-row group, the first group of a tile written straight into ``out``."""
+    kd, kh, _, co = kmat.shape
+    out2 = out.reshape(-1, co)
+    for m0, m1, (i0, i1, j0, j1), tile in _tiles(xl, out.shape[1:4], kd, kh, kw):
+        kg = kmat[i0:i1, j0:j1].reshape(-1, co)
+        if i0 == 0 and j0 == 0:
+            np.matmul(tile, kg, out=out2[m0:m1])
+        else:
+            out2[m0:m1] += tile @ kg
+
+
 def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
     """Cross-correlation over the three trailing axes, at stride 1.
 
     ``x`` is [batch, c_in, D, H, W] and ``kernels`` is [c_out, c_in, kd, kh,
-    kw]. The input is padded once into a channels-last buffer; each of the
-    kd*kh*kw kernel taps then copies its shifted slice of that buffer into one
-    reused [M, c_in] matrix (M = batch * output voxels) and adds one GEMM,
-    K_tap [c_out, c_in] @ slice.T, into the [c_out, M] output. The backward
-    pass keeps only the padded buffer and walks the taps again: the kernel
-    gradient of a tap is g @ slice, and g.T @ K_tap is added into the tap's
-    window of the input gradient. No im2col matrix is built, so the largest
-    allocation is a few times the input and output, whatever the kernel size
-    (Anderson et al., arXiv:1709.03395).
+    kw]. The input is padded once into a channels-last buffer, where the kw
+    taps of one kernel row read one contiguous run of kw*c_in values per
+    output voxel. Groups of kernel rows are copied out of a strided view of
+    those runs into one reused column tile of about TILE_ELEMENTS values,
+    tiled over the batch, and each (tile, group) adds one GEMM of inner
+    dimension rows*kw*c_in into the channels-last output. When all kd*kh rows
+    of a sample fit, that is one GEMM per tile, written straight into the
+    output. This is the middle ground between im2col and one GEMM per kernel
+    tap (Anderson et al., arXiv:1709.03395): no im2col matrix is built, so
+    memory stays a few times the input and output whatever the kernel.
+
+    The backward pass keeps only the padded buffer. The kernel gradient is
+    tile.T @ g over the same tiles. The input gradient is the same forward,
+    run on g with the flipped, channel-swapped kernel and the mirrored padding
+    (k-1-lo, k-1-hi). A padding outside 0..k-1 raises DimensionError.
     """
     xd = x.data
     if xd.ndim != 5:
@@ -469,49 +565,35 @@ def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
         raise DimensionError(
             f"conv3d: input channels {Ci} != kernel channels {Ck}")
     pads = _pad_spec(padding)
-    padded_dims = tuple(size + lo + hi
-                        for size, (lo, hi) in zip((D, H, W), pads))
-    if any(p < k for p, k in zip(padded_dims, (kd, kh, kw))):
+    ksize = (kd, kh, kw)
+    # padding beyond k-1 adds outputs that see only zeros, and would make the
+    # backward's mirrored padding negative
+    if any(not 0 <= p < k for k, pair in zip(ksize, pads) for p in pair):
+        raise DimensionError(f"conv3d: padding {pads} must lie in 0..k-1 for kernel {ksize}")
+    xl = _pad(xd.transpose(0, 2, 3, 4, 1), pads)
+    if any(p < k for p, k in zip(xl.shape[1:4], ksize)):
         raise DimensionError(
-            f"conv3d: kernel {(kd, kh, kw)} larger than padded input {padded_dims}")
-    Do, Ho, Wo = (p - k + 1 for p, k in zip(padded_dims, (kd, kh, kw)))
-    M = N * Do * Ho * Wo
-    taps = list(np.ndindex(kd, kh, kw))
-    inner = tuple(slice(lo, lo + size) for size, (lo, _) in zip((D, H, W), pads))
-
-    xl = np.zeros((N, *padded_dims, Ci))
-    xl[(slice(None), *inner)] = xd.transpose(0, 2, 3, 4, 1)
-    kt = np.ascontiguousarray(kd_.transpose(2, 3, 4, 0, 1))  # [kd,kh,kw,Co,Ci]
-    buf = np.empty((N, Do, Ho, Wo, Ci))
-    cols = buf.reshape(M, Ci)
-
-    def window(arr, tap):
-        i, j, l = tap
-        return arr[:, i:i + Do, j:j + Ho, l:l + Wo]
-
-    out2 = np.zeros((Co, M))
-    prod = np.empty((Co, M))
-    for tap in taps:
-        buf[...] = window(xl, tap)
-        np.matmul(kt[tap], cols.T, out=prod)
-        out2 += prod
-    out = np.ascontiguousarray(
-        out2.reshape(Co, N, Do, Ho, Wo).transpose(1, 0, 2, 3, 4))
+            f"conv3d: kernel {ksize} larger than padded input {xl.shape[1:4]}")
+    out_dims = (xl.shape[1] - kd + 1, xl.shape[2] - kh + 1, xl.shape[3] - kw + 1)
+    out = np.empty((N, *out_dims, Co))
+    _correlate(xl, kd_.transpose(2, 3, 4, 1, 0).reshape(kd, kh, kw * Ci, Co), kw, out)
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3, 4)).reshape(Co, M)
-        dk = np.empty((kd, kh, kw, Co, Ci))
-        dxl = np.zeros_like(xl)
-        dcols = np.empty((M, Ci))
-        buf = np.empty((N, Do, Ho, Wo, Ci))
-        cols = buf.reshape(M, Ci)
-        for tap in taps:
-            buf[...] = window(xl, tap)
-            np.matmul(g2, cols, out=dk[tap])
-            np.matmul(g2.T, kt[tap], out=dcols)
-            window(dxl, tap)[...] += dcols.reshape(N, Do, Ho, Wo, Ci)
-        dx = dxl[(slice(None), *inner)].transpose(0, 4, 1, 2, 3)
-        return (np.ascontiguousarray(dx),
-                np.ascontiguousarray(dk.transpose(3, 4, 0, 1, 2)))
+        g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))
+        g2 = g_cl.reshape(-1, Co)
+        dk = np.empty((kd, kh, kw * Ci, Co))
+        for m0, m1, (i0, i1, j0, j1), tile in _tiles(xl, out_dims, kd, kh, kw):
+            dkg = dk[i0:i1, j0:j1].reshape(-1, Co)
+            if m0 == 0:
+                np.matmul(tile.T, g2[m0:m1], out=dkg)
+            else:
+                dkg += tile.T @ g2[m0:m1]
+        mirrored = [(k - 1 - lo, k - 1 - hi) for k, (lo, hi) in zip(ksize, pads)]
+        flipped = kd_.transpose(2, 3, 4, 0, 1)[::-1, ::-1, ::-1]
+        dx = np.empty((N, D, H, W, Ci))
+        _correlate(_pad(g_cl, mirrored), flipped.reshape(kd, kh, kw * Co, Ci), kw, dx)
+        return (np.ascontiguousarray(dx.transpose(0, 4, 1, 2, 3)),
+                np.ascontiguousarray(dk.reshape(kd, kh, kw, Ci, Co).transpose(4, 3, 0, 1, 2)))
 
-    return _make("conv3d", out, (x, kernels), bwd)
+    return _make("conv3d", np.ascontiguousarray(out.transpose(0, 4, 1, 2, 3)),
+                 (x, kernels), bwd)

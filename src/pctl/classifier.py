@@ -135,6 +135,16 @@ def extract_patches(values: np.ndarray, centers, patch_size: int) -> np.ndarray:
     return padded[rows[:, :, None], cols[:, None, :], :]
 
 
+def window_pixels(height: int, width: int, centers, patch_size: int) -> np.ndarray:
+    """[H, W] mask of the pixels that ``extract_patches`` reads for these
+    centers, the pixels that mirror padding repeats included."""
+    mask = np.zeros(height * width, dtype=bool)
+    if len(centers):
+        index = np.arange(height * width).reshape(height, width, 1)
+        mask[extract_patches(index, centers, patch_size).reshape(-1)] = True
+    return mask.reshape(height, width)
+
+
 def encode_patches(encoder: Encoder, pixel_patches: np.ndarray) -> Tensor:
     """Push raw pixel patches through the shared encoder, pixel by pixel.
 

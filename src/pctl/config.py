@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import SynthSpec
 from .encoder import STICK_TRANSFORMS, default_hidden_widths
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 # The ablation ladder, one rung per variant. A checkpoint stores the variant as
 # its index here, so new rungs are appended and the order never changes.
@@ -259,8 +259,25 @@ def config_records(cfg) -> list:
     return out
 
 
+def record_value(name: str, kind, raw: np.ndarray):
+    """The scalar record ``cfg.<name>`` as ``kind``; ParseError unless it is
+    a scalar, and a whole number where ``kind`` is int."""
+    if raw.ndim != 0:
+        raise ParseError(f"record cfg.{name} must be a scalar, got shape {raw.shape}")
+    value = float(raw)
+    if kind is int:
+        if not value.is_integer():
+            raise ParseError(f"record cfg.{name} must be a whole number, got {value!r}")
+        return int(value)
+    return kind(value)
+
+
 def from_records(cls, records: dict):
-    """Rebuild a config from its records; a field without one keeps its default."""
+    """Rebuild a config from its records; a field without one keeps its default.
+
+    A record of the wrong shape, a choice index that names no choice, and an
+    int field that is not a whole number raise ParseError.
+    """
     hints = get_type_hints(cls)
     values = {}
     for f in fields(cls):
@@ -270,11 +287,19 @@ def from_records(cls, records: dict):
                 raise KeyError(f"cfg.{f.name}")
             continue
         kind = _plain(hints[f.name])
+        raw = np.asarray(raw, dtype=np.float64)
         if "choices" in f.metadata:
-            values[f.name] = f.metadata["choices"][int(raw)]
+            choices = f.metadata["choices"]
+            index = record_value(f.name, int, raw)
+            if not 0 <= index < len(choices):
+                raise ParseError(f"record cfg.{f.name} = {index} names none of "
+                                 f"{', '.join(choices)}")
+            values[f.name] = choices[index]
         elif get_origin(kind) is list:
             (item,) = get_args(kind)
-            values[f.name] = [item(v) for v in np.atleast_1d(raw)]
+            if raw.ndim > 1:
+                raise ParseError(f"record cfg.{f.name} must be a list, got shape {raw.shape}")
+            values[f.name] = [record_value(f.name, item, v) for v in np.atleast_1d(raw)]
         else:
-            values[f.name] = kind(raw)
+            values[f.name] = record_value(f.name, kind, raw)
     return cls(**values)

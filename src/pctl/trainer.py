@@ -28,8 +28,16 @@ from .classifier import (
     classification_loss,
     encode_patches,
     extract_patches,
+    window_pixels,
 )
-from .config import ABLATION_VARIANTS, ModelConfig, TrainConfig, config_records, from_records
+from .config import (
+    ABLATION_VARIANTS,
+    ModelConfig,
+    TrainConfig,
+    config_records,
+    from_records,
+    record_value,
+)
 from .data import HsiCube, split_labels
 from .decoder import AffineDecoder, PlainDecoder, reconstruction_loss
 from .encoder import Encoder, sparse_loss
@@ -271,31 +279,42 @@ def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig)
     return rows
 
 
-def abundance_map(state: ModelState, cube: HsiCube) -> np.ndarray:
-    """Encode every pixel once; [H, W, c] result, no gradients."""
+def abundance_map(state: ModelState, cube: HsiCube, needed=None) -> np.ndarray:
+    """Encode the pixels of a cube; [H, W, c] result, no gradients.
+
+    ``needed`` is an [H, W] mask of the pixels to encode, by default all of
+    them. They are encoded in raster order, ENCODE_CHUNK at a time, so a mask
+    that covers the cube encodes exactly as the default does; the rest of the
+    map is zero.
+    """
     pixels = cube.pixels()
-    out = np.empty((pixels.shape[0], state.model_cfg.abundance_dim))
+    rows = np.arange(len(pixels)) if needed is None else np.flatnonzero(needed)
+    out = np.zeros((len(pixels), state.model_cfg.abundance_dim))
     with no_grad():
-        for start in range(0, pixels.shape[0], ENCODE_CHUNK):
-            tile = pixels[start:start + ENCODE_CHUNK]
-            out[start:start + len(tile)] = state.encoder.encode(Tensor(tile)).values.data
+        for start in range(0, len(rows), ENCODE_CHUNK):
+            tile = rows[start:start + ENCODE_CHUNK]
+            out[tile] = state.encoder.encode(Tensor(pixels[tile])).values.data
     return out.reshape(cube.height, cube.width, -1)
 
 
 def predict_centers(state: ModelState, cube: HsiCube, centers: np.ndarray,
                     return_proba: bool = False):
-    """Class ids (1-based) for the given pixel centers of a cube."""
+    """Class ids (1-based) for the given pixel centers of a cube.
+
+    Only the pixels that the centers' windows read are encoded.
+    """
     if cube.bands != state.model_cfg.bands:
         raise DataMismatchError(
             f"cube has {cube.bands} bands, model expects {state.model_cfg.bands}")
-    amap = abundance_map(state, cube)
+    patch_size = state.model_cfg.patch_size
+    amap = abundance_map(state, cube,
+                         window_pixels(cube.height, cube.width, centers, patch_size))
     preds = np.empty(len(centers), dtype=np.int64)
     probas = np.empty((len(centers), state.model_cfg.num_classes)) if return_proba else None
     with no_grad():
         for start in range(0, len(centers), PREDICT_BATCH):
             chunk = centers[start:start + PREDICT_BATCH]
-            patch = abundance_patches_from_map(amap, chunk,
-                                               state.model_cfg.patch_size)
+            patch = abundance_patches_from_map(amap, chunk, patch_size)
             logits = state.classifier.logits(patch, train=False).data
             preds[start:start + len(chunk)] = logits.argmax(axis=1) + 1
             if return_proba:
@@ -443,7 +462,7 @@ def _legacy_variant(rec: dict, path) -> str:
     """The variant that a checkpoint older than ``TrainConfig.variant`` stores
     as four switches; a missing switch reads 0, and ``classifier_only`` wins."""
     on = tuple(name for name in ("classifier_only", "shared_decoder_only", "no_sparse", "no_mi")
-               if rec.get(f"cfg.{name}", 0))
+               if record_value(name, float, rec.get(f"cfg.{name}", np.float64(0))))
     rungs = {("shared_decoder_only", "no_sparse", "no_mi"): "shared-decoder",
              ("no_sparse", "no_mi"): "affine-decoder", ("no_mi",): "sparse", (): "full"}
     if "classifier_only" in on:
@@ -459,7 +478,7 @@ def load_checkpoint(path) -> ModelState:
     if "cfg.variant" not in rec:
         rec["cfg.variant"] = ABLATION_VARIANTS.index(_legacy_variant(rec, path))
     for name, (kept, values) in REMOVED_SWITCHES.items():
-        stored = rec.get(f"cfg.{name}", kept)
+        stored = record_value(name, float, rec.get(f"cfg.{name}", np.float64(kept)))
         if stored != kept:
             value = values[int(stored)] if stored in (0, 1) else float(stored)
             raise ParseError(f"{path}: the checkpoint was trained with model.{name} = "

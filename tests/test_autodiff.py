@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pctl import autodiff
 from pctl.autodiff import (
     Tensor,
     absolute,
@@ -193,6 +194,47 @@ class TestConv3d:
                 want[n, o, d, h, v] += xp[n, c, d + i, h + j, v + l] * k[o, c, i, j, l]
         got = conv3d(Tensor(x), Tensor(k), padding=padding).data
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    # Column-tile budgets for a batch of 3 at kernel 3x5x5 over a 4x5x5 volume
+    # of 3 channels: a kernel row adds 4*5*5 voxels * 5*3 values = 1500 per
+    # sample, and all 15 rows of a sample take 22500.
+    TILE_PLANS = {
+        "uneven_batch_tiles": (45000, 2, ((0, 3, 0, 5),)),
+        "depth_tap_groups": (15000, 1, ((0, 1, 0, 5), (1, 3, 0, 5))),
+        "runs_within_a_depth_tap": (3000, 1, tuple(
+            (i, i + 1, j0, j1) for i in range(3) for j0, j1 in ((0, 1), (1, 3), (3, 5)))),
+        "one_row_above_budget": (100, 1, tuple(
+            (i, i + 1, j, j + 1) for i in range(3) for j in range(5))),
+    }
+
+    @pytest.mark.parametrize("plan", sorted(TILE_PLANS))
+    def test_tiled_forward_and_gradient(self, plan, monkeypatch):
+        """Every way the column tiles can split (over the batch, over kernel
+        rows, below one row) gives the nested-loop forward and the
+        finite-difference gradient."""
+        budget, per_tile, groups = self.TILE_PLANS[plan]
+        monkeypatch.setattr(autodiff, "TILE_ELEMENTS", budget)
+        assert autodiff._tiling(3, 100, 3, 5, 15)[:2] == (per_tile, groups)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((3, 3, 4, 5, 5))
+        k = rng.standard_normal((2, 3, 3, 5, 5))
+        padding = ((1, 1), (2, 2), (2, 2))
+        xp = np.pad(x, ((0, 0), (0, 0)) + padding)
+        want = np.zeros((3, 2, 4, 5, 5))
+        for d, h, v in np.ndindex(4, 5, 5):
+            want[:, :, d, h, v] = np.einsum("ncijl,ocijl->no",
+                                            xp[:, :, d:d + 3, h:h + 5, v:v + 5], k)
+        xt, kt = Tensor(x), Tensor(k)
+        npt.assert_allclose(conv3d(xt, kt, padding=padding).data, want, rtol=0, atol=1e-12)
+        w = Tensor(rng.standard_normal(want.shape))
+        assert fd_check(lambda: reduce_sum(conv3d(xt, kt, padding=padding) * w),
+                        [xt, kt]) < 1e-5
+
+    @pytest.mark.parametrize("padding", [3, -1, ((0, 0), (0, 0), (0, 3))])
+    def test_padding_outside_zero_to_k_minus_one_rejected(self, padding):
+        with pytest.raises(DimensionError, match="padding"):
+            conv3d(Tensor(np.ones((1, 1, 4, 4, 4))), Tensor(np.ones((1, 1, 3, 3, 3))),
+                   padding=padding)
 
     def test_memory_stays_near_the_activations(self):
         """Forward and backward at the last dense block of a patch-11

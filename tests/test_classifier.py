@@ -11,6 +11,7 @@ from pctl.classifier import (
     conv_kernel,
     encode_patches,
     extract_patches,
+    window_pixels,
 )
 from pctl.config import ModelConfig
 from pctl.encoder import Encoder
@@ -128,6 +129,15 @@ class TestPatchExtraction:
     def test_out_of_image_center_rejected(self):
         with pytest.raises(ContractError):
             extract_patches(np.zeros((4, 4, 2)), [(4, 0)], patch_size=3)
+
+    @pytest.mark.parametrize("patch_size", [1, 3, 5, 9])
+    def test_window_pixels_are_what_the_windows_read(self, patch_size):
+        centers = [(0, 0), (2, 5), (3, 1)]
+        index = np.arange(4 * 6, dtype=float).reshape(4, 6, 1)
+        read = np.unique(extract_patches(index, centers, patch_size))
+        mask = window_pixels(4, 6, centers, patch_size)
+        npt.assert_array_equal(np.flatnonzero(mask), read)
+        assert not window_pixels(4, 6, np.zeros((0, 2), dtype=int), patch_size).any()
 
     def test_mirror_border(self):
         # edge-inclusive mirroring: the border row/col appears twice

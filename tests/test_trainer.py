@@ -335,6 +335,18 @@ class TestPredictEvaluate:
         expected = oa_aa_kappa(cm)
         assert (oa, aa, kappa) == expected
 
+    def test_sampled_centers_predict_as_the_whole_cube(self, trained):
+        """Encoding only the pixels the windows read, mirrored ones included,
+        gives the predictions of the whole-cube map, at the border too."""
+        state, _, target, _ = trained
+        whole = predict(state, target)
+        rng = np.random.default_rng(3)
+        centers = np.argwhere(np.ones(whole.shape, dtype=bool))
+        centers = np.concatenate([centers[rng.choice(len(centers), 12, replace=False)],
+                                  [[0, 0], [target.height - 1, target.width - 1]]])
+        npt.assert_array_equal(predict_centers(state, target, centers),
+                               whole[centers[:, 0], centers[:, 1]])
+
     def test_band_mismatch_on_predict(self, trained):
         state, *_ = trained
         wrong = HsiCube(np.zeros((4, 4, 7)))
