@@ -512,11 +512,10 @@ def _tiles(xl, out_dims, kd, kh, kw):
         n1 = min(n0 + per_tile, n)
         for group in groups:
             i0, i1, j0, j1 = group
-            tile = _tile_store[:(n1 - n0) * voxels * (i1 - i0) * (j1 - j0) * row]
-            tile.shape = (n1 - n0, *out_dims, i1 - i0, j1 - j0, row)
+            tile = _tile_store[:(n1 - n0) * voxels * (i1 - i0) * (j1 - j0) * row].reshape(
+                n1 - n0, *out_dims, i1 - i0, j1 - j0, row)
             tile[...] = runs[n0:n1, :, :, :, i0:i1, j0:j1]
-            tile.shape = ((n1 - n0) * voxels, -1)
-            yield n0 * voxels, n1 * voxels, group, tile
+            yield n0 * voxels, n1 * voxels, group, tile.reshape((n1 - n0) * voxels, -1)
 
 
 def _correlate(xl, kmat, kw, out):

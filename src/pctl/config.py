@@ -260,14 +260,14 @@ def config_records(cfg) -> list:
 
 
 def record_value(name: str, kind, raw: np.ndarray):
-    """The scalar record ``cfg.<name>`` as ``kind``; ParseError unless it is
-    a scalar, and a whole number where ``kind`` is int."""
+    """The checkpoint record ``name`` as ``kind``; ParseError unless it is a
+    scalar, and a whole number where ``kind`` is int."""
     if raw.ndim != 0:
-        raise ParseError(f"record cfg.{name} must be a scalar, got shape {raw.shape}")
+        raise ParseError(f"record {name} must be a scalar, got shape {raw.shape}")
     value = float(raw)
     if kind is int:
         if not value.is_integer():
-            raise ParseError(f"record cfg.{name} must be a whole number, got {value!r}")
+            raise ParseError(f"record {name} must be a whole number, got {value!r}")
         return int(value)
     return kind(value)
 
@@ -290,7 +290,7 @@ def from_records(cls, records: dict):
         raw = np.asarray(raw, dtype=np.float64)
         if "choices" in f.metadata:
             choices = f.metadata["choices"]
-            index = record_value(f.name, int, raw)
+            index = record_value(f"cfg.{f.name}", int, raw)
             if not 0 <= index < len(choices):
                 raise ParseError(f"record cfg.{f.name} = {index} names none of "
                                  f"{', '.join(choices)}")
@@ -299,7 +299,8 @@ def from_records(cls, records: dict):
             (item,) = get_args(kind)
             if raw.ndim > 1:
                 raise ParseError(f"record cfg.{f.name} must be a list, got shape {raw.shape}")
-            values[f.name] = [record_value(f.name, item, v) for v in np.atleast_1d(raw)]
+            values[f.name] = [record_value(f"cfg.{f.name}", item, v)
+                              for v in np.atleast_1d(raw)]
         else:
-            values[f.name] = record_value(f.name, kind, raw)
+            values[f.name] = record_value(f"cfg.{f.name}", kind, raw)
     return cls(**values)

@@ -458,37 +458,36 @@ def _read_records(path) -> dict:
     return records
 
 
-def _legacy_variant(rec: dict, path) -> str:
+def _legacy_variant(rec: dict) -> str:
     """The variant that a checkpoint older than ``TrainConfig.variant`` stores
     as four switches; a missing switch reads 0, and ``classifier_only`` wins."""
     on = tuple(name for name in ("classifier_only", "shared_decoder_only", "no_sparse", "no_mi")
-               if record_value(name, float, rec.get(f"cfg.{name}", np.float64(0))))
+               if record_value(f"cfg.{name}", float, rec.get(f"cfg.{name}", np.float64(0))))
     rungs = {("shared_decoder_only", "no_sparse", "no_mi"): "shared-decoder",
              ("no_sparse", "no_mi"): "affine-decoder", ("no_mi",): "sparse", (): "full"}
     if "classifier_only" in on:
         return "classifier-only"
     if on not in rungs:
-        raise ParseError(f"{path}: no ablation variant sets exactly the switches {', '.join(on)}")
+        raise ParseError(f"no ablation variant sets exactly the switches {', '.join(on)}")
     return rungs[on]
 
 
 def load_checkpoint(path) -> ModelState:
     """Rebuild a ModelState whose forward outputs match the saved one exactly."""
     rec = _read_records(path)
-    if "cfg.variant" not in rec:
-        rec["cfg.variant"] = ABLATION_VARIANTS.index(_legacy_variant(rec, path))
-    for name, (kept, values) in REMOVED_SWITCHES.items():
-        stored = record_value(name, float, rec.get(f"cfg.{name}", np.float64(kept)))
-        if stored != kept:
-            value = values[int(stored)] if stored in (0, 1) else float(stored)
-            raise ParseError(f"{path}: the checkpoint was trained with model.{name} = "
-                             f"{value}, which is no longer supported; only "
-                             f"{values[kept]} loads")
     try:
+        if "cfg.variant" not in rec:
+            rec["cfg.variant"] = ABLATION_VARIANTS.index(_legacy_variant(rec))
+        for name, (kept, values) in REMOVED_SWITCHES.items():
+            stored = record_value(f"cfg.{name}", float, rec.get(f"cfg.{name}", np.float64(kept)))
+            if stored != kept:
+                value = values[int(stored)] if stored in (0, 1) else stored
+                raise ParseError(f"the checkpoint was trained with model.{name} = {value}, "
+                                 f"which is no longer supported; only {values[kept]} loads")
         model_cfg = from_records(ModelConfig, rec)
         train_cfg = from_records(TrainConfig, rec)
         state = ModelState(model_cfg, train_cfg, seed=train_cfg.seed)
-        state.step = int(rec["step"])
+        state.step = record_value("step", int, rec["step"])
         for name, t in state.parameters():
             t.data = rec[name].reshape(t.data.shape).copy()
         for name, buf in state.buffers():
@@ -498,6 +497,8 @@ def load_checkpoint(path) -> ModelState:
                 state.adam_m[name].shape).copy()
             state.adam_v[name] = rec[f"adam.v.{name}"].reshape(
                 state.adam_v[name].shape).copy()
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise ParseError(f"{path}: checkpoint is missing record {exc}") from exc
     except (ValueError, IndexError) as exc:

@@ -296,20 +296,21 @@ class TestPredictEvaluate:
         assert not (tmp_path / "p.hsil").exists()
 
     @pytest.mark.parametrize("name, value, named", [
-        ("epochs", [2.0, 3.0], "record cfg.epochs must be a scalar, got shape (2,)"),
-        ("block_channels", [[2.0] * 5] * 2, "record cfg.block_channels must be a list"),
-        ("encoder_hidden", [8.5, 6.0], "record cfg.encoder_hidden must be a whole number"),
-        ("variant", -1.0, "record cfg.variant = -1 names none of"),
-        ("variant", 1.5, "record cfg.variant must be a whole number, got 1.5"),
-        ("patch_size", 3.5, "record cfg.patch_size must be a whole number, got 3.5"),
-        ("beta_mode", [0.0, 0.0], "record cfg.beta_mode must be a scalar")],
+        ("cfg.epochs", [2.0, 3.0], "record cfg.epochs must be a scalar, got shape (2,)"),
+        ("cfg.block_channels", [[2.0] * 5] * 2, "record cfg.block_channels must be a list"),
+        ("cfg.encoder_hidden", [8.5, 6.0], "record cfg.encoder_hidden must be a whole number"),
+        ("cfg.variant", -1.0, "record cfg.variant = -1 names none of"),
+        ("cfg.variant", 1.5, "record cfg.variant must be a whole number, got 1.5"),
+        ("cfg.patch_size", 3.5, "record cfg.patch_size must be a whole number, got 3.5"),
+        ("cfg.beta_mode", [0.0, 0.0], "record cfg.beta_mode must be a scalar"),
+        ("step", [4.0, 4.0], "record step must be a scalar")],
         ids=["two-epochs", "block-channels-2d", "fractional-width", "variant-minus-one",
-             "fractional-variant", "fractional-patch-size", "two-beta-modes"])
-    def test_a_malformed_config_record_exits_2(self, scene, trained, tmp_path, capsys,
-                                               name, value, named):
+             "fractional-variant", "fractional-patch-size", "two-beta-modes", "two-steps"])
+    def test_a_malformed_record_exits_2(self, scene, trained, tmp_path, capsys,
+                                        name, value, named):
         # a later record of the same name replaces the checkpoint's own
         data = np.asarray(value, dtype="<f8")
-        encoded = f"cfg.{name}".encode()
+        encoded = name.encode()
         checkpoint = tmp_path / "bad.pctl"
         checkpoint.write_bytes((trained / "model.pctl").read_bytes()
                                + struct.pack("<H", len(encoded)) + encoded

@@ -1,10 +1,11 @@
 """Compare two commits with perfbench in interleaved pairs; write BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent 4814eb9 --change HEAD --pairs 10 \\
-        --bench 2 --subject "..." --out BENCH_2.json [--traced train-pixel] [--patch11]
+        --bench 2 --subject "..." --out BENCH_2.json \\
+        [--traced train-pixel --traced-pairs 5] [--patch11]
 
 Each side is a fresh `git archive` of its revision in a scratch directory, so
-both run the same perfbench code from their own committed files. Pair i runs
+each runs perfbench from its own committed files. Pair i runs
 every workload on seed i, parent and change back to back; the side that runs
 first alternates (parent first on even seeds). Quartiles are numpy's
 linear-interpolation percentiles over the runs of one side; a spread is
@@ -13,11 +14,12 @@ medians; change_wins counts the pairs in which the change is better (ties
 count for neither side); within_bound says whether the change's median is no
 worse than the parent's by more than the bound in BENCHMARK.json.
 
---traced W runs one traced perfbench run (--trace 1) of workload W per side,
-parent first, after the pairs. --patch11 times `pctl predict` at the default
-model.patch_size=11 on each side, parent first: a one-epoch `pctl train` on a
-gen-synth scene of 64 pixels per class, then the predict of its 256-pixel
-target cube, all through cli.main in one process with PCTL_THREADS=1.
+--traced W runs --traced-pairs traced perfbench runs (--trace 1) of workload
+W per side after the pairs, alternating as the pairs do. --patch11 times
+`pctl predict` at the default model.patch_size=11 on each side, parent
+first: a one-epoch `pctl train` on a gen-synth scene of 64 pixels per class,
+then the predict of its 256-pixel target cube, all through cli.main in one
+process with PCTL_THREADS=1.
 """
 
 from __future__ import annotations
@@ -140,6 +142,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default=None,
                         help="comma-separated; default: every workload in BENCHMARK.json")
     parser.add_argument("--traced", default="", help="comma-separated workloads")
+    parser.add_argument("--traced-pairs", type=int, default=1)
     parser.add_argument("--patch11", action="store_true")
     parser.add_argument("--bench", type=int, required=True)
     parser.add_argument("--subject", required=True)
@@ -195,15 +198,25 @@ def main(argv=None) -> int:
             report["workloads"][w] = entry
 
         for w in filter(None, args.traced.split(",")):
+            traced = {side: [] for side in SIDES}
+            for seed in range(args.traced_pairs):
+                for side in SIDES if seed % 2 == 0 else SIDES[::-1]:
+                    traced[side].append(perfbench(trees[side], w, seed, args.seconds, 1))
             sides = {}
-            for side in SIDES:
-                result = perfbench(trees[side], w, 0, args.seconds, 1)
-                sides[side] = {"correct": result["correct"],
-                               **{k: round(v["value"], 4) for k, v in result["metrics"].items()}}
+            for side, results in traced.items():
+                names = sorted({k for r in results for k in r["metrics"]})
+                sides[side] = {
+                    "correct_runs": f"{sum(r['correct'] for r in results)}/{len(results)}",
+                    **{k: {"median": round(float(np.median([r["metrics"][k]["value"]
+                                                            for r in results])), 4),
+                           "runs": [round(r["metrics"][k]["value"], 4) for r in results]}
+                       for k in names}}
             report[f"traced_{w}"] = {
-                "command": f"python3 perfbench/run.py --workload {w} --seed 0 "
+                "command": f"python3 perfbench/run.py --workload {w} --seed <pair index> "
                            f"--seconds {args.seconds:g} --trace 1",
-                "note": "one traced run per side, parent first, after the interleaved runs",
+                "note": f"{args.traced_pairs} traced runs per side after the interleaved "
+                        f"runs, alternating which side runs first (parent first on even "
+                        f"seeds); each figure is the median over a side's runs",
                 "sides": sides}
 
         if args.patch11:
