@@ -62,6 +62,11 @@ print(json.dumps({"train_s": round(trained - started, 2),
                   "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)}))
 """
 
+PATCH11_WHAT = ("pctl train at the default model.patch_size=11 for train.epochs=1 on a "
+                "gen-synth scene with synth.pixels_per_class=64 (256 pixels per domain), "
+                "then pctl predict on its 256-pixel target cube, through cli.main in one "
+                "process with PCTL_THREADS=1; predict_px_per_s is 256 / predict_s")
+
 
 def checkout(rev: str, dest: Path) -> str:
     """Extract the committed files of ``rev`` into ``dest``; returns the short hash."""
@@ -239,11 +244,6 @@ def main(argv=None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
 
-
-PATCH11_WHAT = ("pctl train at the default model.patch_size=11 for train.epochs=1 on a "
-                "gen-synth scene with synth.pixels_per_class=64 (256 pixels per domain), "
-                "then pctl predict on its 256-pixel target cube, through cli.main in one "
-                "process with PCTL_THREADS=1; predict_px_per_s is 256 / predict_s")
 
 if __name__ == "__main__":
     sys.exit(main())
