@@ -433,10 +433,6 @@ def cumprod(a: Tensor, axis: int = -1, exclusive: bool = False) -> Tensor:
 
 # float64 values in one conv3d column tile (512 KiB), the operand of one GEMM
 TILE_ELEMENTS = 1 << 16
-# The column tile's storage, kept across calls: a fresh buffer of this size
-# costs a page fault per 4 KiB on every call. Every tile is written before it
-# is read, and autodiff runs on one thread, as its tape does.
-_tile_store = np.empty(0)
 
 
 def _pad_spec(padding):
@@ -491,20 +487,18 @@ def _tiles(xl, out_dims, kd, kh, kw):
     """Yield (first row, end row, group, tile) over a padded channels-last
     input ``xl``: ``tile`` is the [rows, group's kernel rows * kw * c] column
     matrix of one batch tile and one kernel-row group, its rows counting the
-    [N, *out_dims] output voxels. The storage is reused, so a tile is valid
-    until the next one is yielded.
+    [N, *out_dims] output voxels. The storage is shared by the tiles of one
+    call, so a tile is valid until the next one is yielded.
 
     The kw taps of kernel row (i, j) read one contiguous run of kw*c values
     per output voxel, so a strided view of those runs needs no copy, and a
     tile is one copy out of it.
     """
-    global _tile_store
     n, c = xl.shape[0], xl.shape[4]
     row = kw * c
     voxels = out_dims[0] * out_dims[1] * out_dims[2]
     per_tile, groups, size = _tiling(n, voxels, kd, kh, row)
-    if _tile_store.size < size:
-        _tile_store = np.empty(size)
+    store = np.empty(size)
     sn, sd, sh, sw, sc = xl.strides
     runs = np.ndarray((n, *out_dims, kd, kh, row), xl.dtype, xl, 0,
                       (sn, sd, sh, sw, sd, sh, sc))
@@ -512,7 +506,7 @@ def _tiles(xl, out_dims, kd, kh, kw):
         n1 = min(n0 + per_tile, n)
         for group in groups:
             i0, i1, j0, j1 = group
-            tile = _tile_store[:(n1 - n0) * voxels * (i1 - i0) * (j1 - j0) * row].reshape(
+            tile = store[:(n1 - n0) * voxels * (i1 - i0) * (j1 - j0) * row].reshape(
                 n1 - n0, *out_dims, i1 - i0, j1 - j0, row)
             tile[...] = runs[n0:n1, :, :, :, i0:i1, j0:j1]
             yield n0 * voxels, n1 * voxels, group, tile.reshape((n1 - n0) * voxels, -1)

@@ -135,13 +135,19 @@ def extract_patches(values: np.ndarray, centers, patch_size: int) -> np.ndarray:
     return padded[rows[:, :, None], cols[:, None, :], :]
 
 
-def window_pixels(height: int, width: int, centers, patch_size: int) -> np.ndarray:
+def window_pixels(height: int, width: int, centers, patch_size: int,
+                  batch: int) -> np.ndarray:
     """[H, W] mask of the pixels that ``extract_patches`` reads for these
-    centers, the pixels that mirror padding repeats included."""
+    centers, the pixels that mirror padding repeats included.
+
+    The windows are gathered ``batch`` centers at a time, so the index
+    windows held at once are those of one batch, not of every center.
+    """
     mask = np.zeros(height * width, dtype=bool)
-    if len(centers):
-        index = np.arange(height * width).reshape(height, width, 1)
-        mask[extract_patches(index, centers, patch_size).reshape(-1)] = True
+    index = np.arange(height * width).reshape(height, width, 1)
+    for start in range(0, len(centers), batch):
+        chunk = centers[start:start + batch]
+        mask[extract_patches(index, chunk, patch_size).reshape(-1)] = True
     return mask.reshape(height, width)
 
 

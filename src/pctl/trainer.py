@@ -308,7 +308,8 @@ def predict_centers(state: ModelState, cube: HsiCube, centers: np.ndarray,
             f"cube has {cube.bands} bands, model expects {state.model_cfg.bands}")
     patch_size = state.model_cfg.patch_size
     amap = abundance_map(state, cube,
-                         window_pixels(cube.height, cube.width, centers, patch_size))
+                         window_pixels(cube.height, cube.width, centers, patch_size,
+                                       PREDICT_BATCH))
     preds = np.empty(len(centers), dtype=np.int64)
     probas = np.empty((len(centers), state.model_cfg.num_classes)) if return_proba else None
     with no_grad():

@@ -135,9 +135,27 @@ class TestPatchExtraction:
         centers = [(0, 0), (2, 5), (3, 1)]
         index = np.arange(4 * 6, dtype=float).reshape(4, 6, 1)
         read = np.unique(extract_patches(index, centers, patch_size))
-        mask = window_pixels(4, 6, centers, patch_size)
+        mask = window_pixels(4, 6, centers, patch_size, batch=2)
         npt.assert_array_equal(np.flatnonzero(mask), read)
-        assert not window_pixels(4, 6, np.zeros((0, 2), dtype=int), patch_size).any()
+        assert not window_pixels(4, 6, np.zeros((0, 2), dtype=int), patch_size, 2).any()
+
+    def test_window_pixels_hold_one_batch_of_windows(self):
+        """Every pixel of a 64x64 cube as a center at patch 11: the traced
+        peak stays below the index map, its padding and two batches of index
+        windows, far below the 4 MB that all 4096 windows take at once."""
+        import tracemalloc
+
+        h, w, p, batch = 64, 64, 11, 256
+        centers = np.argwhere(np.ones((h, w), dtype=bool))
+        tracemalloc.start()
+        try:
+            mask = window_pixels(h, w, centers, p, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask.all()
+        bound = 8 * (2 * (h + p) * (w + p) + 2 * batch * p * p)
+        assert peak < bound, (peak, bound)
 
     def test_mirror_border(self):
         # edge-inclusive mirroring: the border row/col appears twice

@@ -5,9 +5,10 @@
         [--traced train-pixel --traced-pairs 5] [--patch11]
 
 Each side is a fresh `git archive` of its revision in a scratch directory, so
-each runs perfbench from its own committed files. Pair i runs
-every workload on seed i, parent and change back to back; the side that runs
-first alternates (parent first on even seeds). Quartiles are numpy's
+each runs perfbench from its own committed files. Pair i runs every workload
+of BENCHMARK.json for its run_seconds on seed i, parent and change back to
+back; the side that runs first alternates (parent first on even seeds).
+Quartiles are numpy's
 linear-interpolation percentiles over the runs of one side; a spread is
 (q3 - q1) / median; median_change is (change - parent) / parent of the
 medians; change_wins counts the pairs in which the change is better (ties
@@ -15,7 +16,8 @@ count for neither side); within_bound says whether the change's median is no
 worse than the parent's by more than the bound in BENCHMARK.json.
 
 --traced W runs --traced-pairs traced perfbench runs (--trace 1) of workload
-W per side after the pairs, alternating as the pairs do. --patch11 times
+W per side after the pairs, alternating as the pairs do; a failed traced run
+is counted and left out of the medians. --patch11 times
 `pctl predict` at the default model.patch_size=11 on each side, parent
 first: a one-epoch `pctl train` on a gen-synth scene of 64 pixels per class,
 then the predict of its 256-pixel target cube, all through cli.main in one
@@ -143,9 +145,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15)
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated; default: every workload in BENCHMARK.json")
     parser.add_argument("--traced", default="", help="comma-separated workloads")
     parser.add_argument("--traced-pairs", type=int, default=1)
     parser.add_argument("--patch11", action="store_true")
@@ -155,8 +154,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = (args.workloads.split(",") if args.workloads
-             else [w["name"] for w in spec["workloads"]])
+    names = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         trees = {side: scratch / side for side in SIDES}
@@ -167,7 +166,7 @@ def main(argv=None) -> int:
             order = SIDES if seed % 2 == 0 else SIDES[::-1]
             for w in names:
                 for side in order:
-                    result = perfbench(trees[side], w, seed, args.seconds, 0)
+                    result = perfbench(trees[side], w, seed, seconds, 0)
                     runs[w][side].append(result)
                     print(f"pair {seed} {w} {side}: correct={result['correct']} "
                           + " ".join(f"{k}={v['value']:.4g}"
@@ -177,9 +176,9 @@ def main(argv=None) -> int:
             "bench": args.bench, "subject": args.subject,
             "parent": revs["parent"], "change": revs["change"],
             "command": f"python3 perfbench/run.py --workload <w> --seed <pair index> "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {seconds:g} --trace 0",
             "protocol": __doc__.split("\n\n")[2].replace("\n", " "),
-            "threads": "PCTL_THREADS=1", "seconds": args.seconds, "machine": machine(),
+            "threads": "PCTL_THREADS=1", "seconds": seconds, "machine": machine(),
             "workloads": {}}
         for w in names:
             ok = {side: [r for r in runs[w][side] if r["metrics"]] for side in SIDES}
@@ -206,19 +205,21 @@ def main(argv=None) -> int:
             traced = {side: [] for side in SIDES}
             for seed in range(args.traced_pairs):
                 for side in SIDES if seed % 2 == 0 else SIDES[::-1]:
-                    traced[side].append(perfbench(trees[side], w, seed, args.seconds, 1))
+                    traced[side].append(perfbench(trees[side], w, seed, seconds, 1))
             sides = {}
             for side, results in traced.items():
-                names = sorted({k for r in results for k in r["metrics"]})
+                ok = [r for r in results if r["metrics"]]
+                keys = sorted({k for r in ok for k in r["metrics"]})
                 sides[side] = {
                     "correct_runs": f"{sum(r['correct'] for r in results)}/{len(results)}",
+                    "failed_runs": len(results) - len(ok),
                     **{k: {"median": round(float(np.median([r["metrics"][k]["value"]
-                                                            for r in results])), 4),
-                           "runs": [round(r["metrics"][k]["value"], 4) for r in results]}
-                       for k in names}}
+                                                            for r in ok])), 4),
+                           "runs": [round(r["metrics"][k]["value"], 4) for r in ok]}
+                       for k in keys}}
             report[f"traced_{w}"] = {
                 "command": f"python3 perfbench/run.py --workload {w} --seed <pair index> "
-                           f"--seconds {args.seconds:g} --trace 1",
+                           f"--seconds {seconds:g} --trace 1",
                 "note": f"{args.traced_pairs} traced runs per side after the interleaved "
                         f"runs, alternating which side runs first (parent first on even "
                         f"seeds); each figure is the median over a side's runs",
