@@ -314,10 +314,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     return _make("clamp", np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
 
 
-def sqrt(a: Tensor) -> Tensor:
-    return power(a, 0.5)
-
-
 # -- linear algebra ----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -392,41 +388,27 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make("mean", out, (a,), bwd)
 
 
-def cumprod(a: Tensor, axis: int = -1, exclusive: bool = False) -> Tensor:
-    """Prefix products along ``axis``.
+def cumprod(a: Tensor) -> Tensor:
+    """Exclusive prefix products along the last axis.
 
-    ``exclusive=True`` gives y_j = prod_{o<j} x_o with y_0 = 1. The backward
-    pass uses the reverse recurrences T_i = g_i + x_{i+1} T_{i+1} (inclusive)
-    and U_i = g_{i+1} + x_{i+1} U_{i+1} (exclusive), so gradients never divide
-    by the input and zero entries are safe.
+    y_j = prod_{o<j} x_o with y_0 = 1. The backward pass uses the reverse
+    recurrence U_i = g_{i+1} + x_{i+1} U_{i+1}, so gradients never divide by
+    the input and zero entries are safe.
     """
-    axis = axis % a.data.ndim
-    x = np.moveaxis(a.data, axis, -1).copy()
+    x = a.data
     n = x.shape[-1]
-    inclusive = np.cumprod(x, axis=-1)
-    prefix_excl = np.ones_like(x)
-    prefix_excl[..., 1:] = inclusive[..., :-1]
-    out_last = prefix_excl.copy() if exclusive else inclusive
+    out = np.ones_like(x)
+    out[..., 1:] = np.cumprod(x[..., :-1], axis=-1)
 
     def bwd(g):
-        gl = np.moveaxis(g, axis, -1)
-        acc = np.empty_like(x)
-        if exclusive:
-            carry = np.zeros_like(x[..., 0])
-            acc[..., n - 1] = 0.0
-            for i in range(n - 2, -1, -1):
-                carry = gl[..., i + 1] + x[..., i + 1] * carry
-                acc[..., i] = prefix_excl[..., i] * carry
-        else:
-            carry = gl[..., n - 1].copy()
-            acc[..., n - 1] = prefix_excl[..., n - 1] * carry
-            for i in range(n - 2, -1, -1):
-                carry = gl[..., i] + x[..., i + 1] * carry
-                acc[..., i] = prefix_excl[..., i] * carry
-        return (np.ascontiguousarray(np.moveaxis(acc, -1, axis)),)
+        acc = np.zeros_like(x)
+        carry = np.zeros_like(x[..., 0])
+        for i in range(n - 2, -1, -1):
+            carry = g[..., i + 1] + x[..., i + 1] * carry
+            acc[..., i] = out[..., i] * carry
+        return (acc,)
 
-    return _make("cumprod", np.ascontiguousarray(np.moveaxis(out_last, -1, axis)),
-                 (a,), bwd)
+    return _make("cumprod", out, (a,), bwd)
 
 
 # -- 3-D convolution ----------------------------------------------------------

@@ -10,7 +10,7 @@ has passed through the shared encoder.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class Classifier3d:
     """Five densely-connected conv blocks, then dropout and a k-way head."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator,
-                 dropout_rng: Optional[np.random.Generator] = None):
+                 dropout_rng: np.random.Generator):
         self.cfg = cfg
         kernel = conv_kernel(cfg.abundance_dim, cfg.patch_size)
         self.blocks = []
@@ -71,7 +71,7 @@ class Classifier3d:
             self.blocks.append(ConvBlock(in_ch, out_ch, kernel, rng))
             in_ch += out_ch  # dense connectivity: next block also sees this output
         flat = cfg.block_channels[-1] * cfg.abundance_dim * cfg.patch_size ** 2
-        self.dropout = Dropout(cfg.dropout_rate, rng=dropout_rng)
+        self.dropout = Dropout(cfg.dropout_rate, dropout_rng)
         self.head = DenseLayer(flat, cfg.num_classes, activation="none", rng=rng)
 
     def logits(self, x: Tensor, train: bool) -> Tensor:
@@ -135,20 +135,23 @@ def extract_patches(values: np.ndarray, centers, patch_size: int) -> np.ndarray:
     return padded[rows[:, :, None], cols[:, None, :], :]
 
 
-def window_pixels(height: int, width: int, centers, patch_size: int,
-                  batch: int) -> np.ndarray:
-    """[H, W] mask of the pixels that ``extract_patches`` reads for these
-    centers, the pixels that mirror padding repeats included.
+def window_pixels(height: int, width: int, centers, patch_size: int) -> np.ndarray:
+    """[H, W] mask of the pixels that ``extract_patches`` reads for these centers.
 
-    The windows are gathered ``batch`` centers at a time, so the index
-    windows held at once are those of one batch, not of every center.
+    Mirror padding only repeats pixels that lie inside a window, so the
+    window of center (r, c) reads exactly the box [r - m, r + m] x
+    [c - m, c + m] of the image, m = P // 2. Each box adds one at its corner
+    and takes one off past its far edges in a difference array; the two
+    cumulative sums of that array count the boxes over each pixel.
     """
-    mask = np.zeros(height * width, dtype=bool)
-    index = np.arange(height * width).reshape(height, width, 1)
-    for start in range(0, len(centers), batch):
-        chunk = centers[start:start + batch]
-        mask[extract_patches(index, chunk, patch_size).reshape(-1)] = True
-    return mask.reshape(height, width)
+    m = patch_size // 2
+    rows, cols = np.asarray(centers, dtype=np.int64).reshape(-1, 2).T
+    top, bottom = np.clip(rows - m, 0, height), np.clip(rows + m + 1, 0, height)
+    left, right = np.clip(cols - m, 0, width), np.clip(cols + m + 1, 0, width)
+    diff = np.zeros((height + 1, width + 1), dtype=np.int64)
+    for r, c, sign in ((top, left, 1), (top, right, -1), (bottom, left, -1), (bottom, right, 1)):
+        np.add.at(diff, (r, c), sign)
+    return diff.cumsum(axis=0).cumsum(axis=1)[:height, :width] > 0
 
 
 def encode_patches(encoder: Encoder, pixel_patches: np.ndarray) -> Tensor:

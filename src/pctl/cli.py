@@ -3,7 +3,8 @@
 Subcommands cover the whole workflow: synthetic data generation, training,
 prediction, evaluation, ablation, 2-D projection export, decoder inspection,
 and the gradient verification sweep. Exit codes: 0 success, 2 usage or
-configuration problem, 3 numerical divergence, 4 data incompatibility.
+configuration problem (an unreadable or unwritable path included), 3 numerical
+divergence, 4 data incompatibility.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .config import RunConfig, resolved_text
 from .data import generate_synthetic_pair, read_cube, read_labels, write_cube, write_labels
 from .errors import ConfigError, ContractError, DataMismatchError, DivergenceError, ParseError
 from .gradcheck import run_all
+from .layers import softmax
 from .metrics import confusion, domain_overlap_score, oa_aa_kappa, svd_project_2d
 from .trainer import (
     ABLATION_VARIANTS,
@@ -163,13 +165,12 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     state = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     cube = read_cube(_require_file(args.cube, "cube"))
-    if args.probs_csv:
-        raster, probas = predict(state, cube, return_proba=True)
-    else:
-        raster = predict(state, cube)
+    logits = predict(state, cube)
+    raster = logits.argmax(axis=2) + 1
     write_labels(raster, args.out)
     if args.probs_csv:
-        k = probas.shape[2]
+        k = logits.shape[2]
+        probas = softmax(logits.reshape(-1, k)).reshape(logits.shape)
         lines = ["row,col," + ",".join(f"p{i + 1}" for i in range(k))]
         for r in range(raster.shape[0]):
             for c in range(raster.shape[1]):
@@ -253,8 +254,8 @@ def cmd_project2d(args) -> int:
     source = read_cube(_require_file(args.source, "source cube"))
     target = read_cube(_require_file(args.target, "target cube"))
     for cube, name in ((source, "source"), (target, "target")):
-        if cube.labels is None:
-            raise ConfigError(f"{name} cube needs labels for class-wise export")
+        if cube.num_classes() == 0:
+            raise ConfigError(f"{name} cube needs labeled pixels for class-wise export")
         if cube.bands != state.model_cfg.bands:
             raise DataMismatchError(
                 f"{name} cube has {cube.bands} bands, model expects "
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ParseError, ContractError, FileNotFoundError) as exc:
+    except (ConfigError, ParseError, ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:

@@ -7,8 +7,7 @@ checkpoint's ``cfg.*`` records all derive from their fields and annotations.
 decoders, MI discriminator and classifier each take it and read their fields,
 and its ``__post_init__`` holds the model's validation (``layers.Dropout``
 checks its own rate).
-A field marked ``{"settable": False}`` is not a key; the program or a library
-caller fills it in. Records are float64, so a string field of ``ModelConfig``
+A field marked ``{"settable": False}`` is not a key; the program fills it in. Records are float64, so a string field of ``ModelConfig``
 or ``TrainConfig`` needs ``{"choices": (...)}`` and is stored as its index.
 Unknown keys are hard errors so silent typos cannot skew an experiment, and
 every run writes back the fully resolved configuration it actually used, in a

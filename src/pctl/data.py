@@ -14,7 +14,7 @@ closed form.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -202,11 +202,6 @@ class SynthSpec:
     seed: int = 0
     concentration_peak: float = 10.0  # Dirichlet weight of each class's own component
     concentration_base: float = 0.3   # Dirichlet weight of every other component
-    envelope_weight: float = 0.0      # shared-envelope vs own-shape blend in the basis
-    # [classes, abundance_dim] Dirichlet params and an optional source basis
-    # [c, L] with rows in [0, 1]; no config key sets them
-    concentrations: np.ndarray = field(default=None, metadata={"settable": False})
-    basis: np.ndarray = field(default=None, metadata={"settable": False})
 
     def __post_init__(self):
         if self.classes < 2:
@@ -231,24 +226,6 @@ class SynthSpec:
             raise ConfigError("pixels_per_class must be positive")
         if not (0 < self.concentration_peak < np.inf and 0 < self.concentration_base < np.inf):
             raise ConfigError("concentration_peak and concentration_base must be finite and > 0")
-        if not 0.0 <= self.envelope_weight <= 1.0:
-            raise ConfigError("envelope_weight must lie in [0, 1]")
-        if self.concentrations is None:
-            base = np.full((self.classes, self.abundance_dim),
-                           self.concentration_base)
-            base[np.arange(self.classes), np.arange(self.classes)] = \
-                self.concentration_peak
-            self.concentrations = base
-        else:
-            self.concentrations = np.asarray(self.concentrations, dtype=float)
-            if self.concentrations.shape != (self.classes, self.abundance_dim):
-                raise ConfigError("concentrations must be [classes, abundance_dim]")
-        if self.basis is not None:
-            self.basis = np.asarray(self.basis, dtype=float)
-            if self.basis.shape != (self.abundance_dim, self.bands):
-                raise ConfigError("basis must be [abundance_dim, bands]")
-            if self.basis.min() < 0.0 or self.basis.max() > 1.0:
-                raise ConfigError("basis rows must lie in [0, 1]")
 
 
 def _per_band(value, default, bands):
@@ -271,37 +248,13 @@ def _smooth_rows(rng, rows, bands):
 
 
 def _default_basis(rng, spec: "SynthSpec"):
-    """Material spectra: a shared brightness envelope blended with own shapes.
-
-    Same-scene materials routinely share a spectral envelope and differ in
-    both brightness and finer shape. Row k is
-    w * level_k * envelope + (1 - w) * shape_k, with w = ``envelope_weight``.
-    The brightness levels are spaced by the reciprocal of the cross-domain
-    scale s, so the shift maps the envelope term of row k + 1 exactly onto
-    that of row k. The shape term leaves a mean-brightness gap of
-    (1 - w) * (s - 1) * m + o between them, where o is the offset and m the
-    mean shape value (0.525 in expectation). The weight
-    w = 1 - o / ((1 - s) * m) closes that gap; for the default shift
-    (s = 0.7, o = 0.1) it is 0.365. The domain shift then slides each
-    class's brightness onto its neighbour's, so a classifier that memorizes
-    absolute source reflectance does not transfer, while the per-material
-    shapes keep in-domain classification easy.
-
-    The default w = 0 has no envelope: classes differ by shape alone, and a
-    classifier trained on source reflectance transfers to the target. At
-    w = 1 the basis has rank 1, so no abundances can be recovered from it.
-    """
-    c, bands = spec.abundance_dim, spec.bands
-    w = spec.envelope_weight
-    envelope = 0.55 + 0.4 * _smooth_rows(rng, 1, bands)[0]
-    ratio = 1.0 / float(np.mean(spec.scale))
-    if not np.isfinite(ratio) or ratio <= 0:
-        ratio = 1.4
-    levels = 0.32 * ratio ** np.arange(c)
-    levels = levels / levels.max() * 0.92
-    shapes = 0.1 + 0.85 * _smooth_rows(rng, c, bands)
-    basis = w * levels[:, None] * envelope[None, :] + (1.0 - w) * shapes
-    return np.clip(basis, 0.02, 0.98)
+    """Material spectra [abundance_dim, bands]: one smooth random shape per
+    row, scaled into [0.1, 0.95] and clipped to [0.02, 0.98]."""
+    # An unused envelope row is drawn first; it stays so that every seed keeps
+    # the scenes it has always generated.
+    _smooth_rows(rng, 1, spec.bands)
+    shapes = 0.1 + 0.85 * _smooth_rows(rng, spec.abundance_dim, spec.bands)
+    return np.clip(shapes, 0.02, 0.98)
 
 
 def _tile_labels(spec: SynthSpec, rng) -> np.ndarray:
@@ -327,13 +280,15 @@ def _render_domain(spec: SynthSpec, basis: np.ndarray, rng):
     labels = _tile_labels(spec, rng)
     h, w = labels.shape
     abund = np.empty((h, w, spec.abundance_dim))
-    uniform = np.ones(spec.abundance_dim)
     for cls in range(0, spec.classes + 1):
         mask = labels == cls
         n = int(mask.sum())
         if n == 0:
             continue
-        alpha = uniform if cls == 0 else spec.concentrations[cls - 1]
+        # unlabeled pixels mix uniformly; class k peaks on component k - 1
+        alpha = np.full(spec.abundance_dim, 1.0 if cls == 0 else spec.concentration_base)
+        if cls > 0:
+            alpha[cls - 1] = spec.concentration_peak
         abund[mask] = rng.dirichlet(alpha, size=n)
     x = abund.reshape(-1, spec.abundance_dim) @ basis
     if spec.noise_sigma > 0:
@@ -345,24 +300,17 @@ def _render_domain(spec: SynthSpec, basis: np.ndarray, rng):
 def generate_synthetic_pair(spec: SynthSpec):
     """Source and target cubes plus their ground-truth abundance maps.
 
-    The target basis is drawn (or derived from ``spec.basis``) and the source
-    basis is computed as scale * target + offset, so the two bases satisfy the
-    affine relation bit-exactly. Both domains draw fresh abundances from the
-    same per-class distributions and carry labels; target labels exist for
-    evaluation only.
+    The target basis is drawn, then clipped per band to the values that the
+    shift maps into [0, 1], and the source basis is computed as
+    scale * target + offset, so the two bases satisfy the affine relation
+    bit-exactly. Both domains draw fresh abundances from the same per-class
+    distributions and carry labels; target labels exist for evaluation only.
     """
     rng = np.random.default_rng(spec.seed)
-    if spec.basis is not None:
-        basis_target = (spec.basis - spec.offset) / spec.scale
-    else:
-        basis_target = _default_basis(rng, spec)
-        lo = (0.0 - spec.offset) / spec.scale
-        hi = (1.0 - spec.offset) / spec.scale
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        basis_target = np.clip(basis_target, lo, hi)
+    lo = (0.0 - spec.offset) / spec.scale
+    hi = (1.0 - spec.offset) / spec.scale
+    basis_target = np.clip(_default_basis(rng, spec), np.minimum(lo, hi), np.maximum(lo, hi))
     basis_source = spec.scale * basis_target + spec.offset
-    if basis_source.min() < -1e-9 or basis_source.max() > 1.0 + 1e-9:
-        raise ConfigError("affine shift pushes the source basis outside [0, 1]")
 
     source, abund_source = _render_domain(spec, basis_source, rng)
     target, abund_target = _render_domain(spec, basis_target, rng)

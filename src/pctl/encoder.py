@@ -71,7 +71,7 @@ def stick_breaking(v: Tensor) -> SimplexBatch:
     batch = v.shape[0]
     ones = Tensor(np.ones((batch, 1)))
     v_ext = ad.concat([v, ones], axis=1)
-    remainder = ad.cumprod(1.0 - v_ext, axis=1, exclusive=True)
+    remainder = ad.cumprod(1.0 - v_ext)
     return SimplexBatch(v_ext * remainder)
 
 

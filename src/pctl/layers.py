@@ -6,8 +6,6 @@ serialized into checkpoints and driven by the optimizer.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import autodiff as ad
@@ -15,6 +13,10 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DimensionError
 
 ACTIVATIONS = ("relu", "sigmoid", "none")
+# BatchNorm3d: weight of the old running moments in each update, and the
+# variance floor under the square root
+BN_MOMENTUM = 0.9
+BN_EPSILON = 1e-5
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -25,11 +27,10 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 class DenseLayer:
     """Fully-connected layer: activation(x @ W + b), or activation(x @ W) without bias."""
 
-    def __init__(self, in_dim: int, out_dim: int, activation: str = "none",
-                 rng: Optional[np.random.Generator] = None, bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
+                 activation: str = "none", bias: bool = True):
         if activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}")
-        rng = rng or np.random.default_rng(0)
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
@@ -63,10 +64,8 @@ class BatchNorm3d:
     moments; inference mode is a pure function of the running moments.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.9, epsilon: float = 1e-5):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
@@ -81,13 +80,13 @@ class BatchNorm3d:
         if train:
             mu = x.mean(axis=axes, keepdims=True)
             var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
-            xhat = (x - mu) / ad.sqrt(var + self.epsilon)
-            m = self.momentum
+            xhat = (x - mu) / ad.power(var + BN_EPSILON, 0.5)
+            m = BN_MOMENTUM
             self.running_mean = m * self.running_mean + (1 - m) * mu.data.reshape(-1)
             self.running_var = m * self.running_var + (1 - m) * var.data.reshape(-1)
         else:
             mu = Tensor(self.running_mean.reshape(cshape))
-            sd = Tensor(np.sqrt(self.running_var + self.epsilon).reshape(cshape))
+            sd = Tensor(np.sqrt(self.running_var + BN_EPSILON).reshape(cshape))
             xhat = (x - mu) / sd
         return xhat * ad.reshape(self.gamma, cshape) + ad.reshape(self.beta, cshape)
 
@@ -101,11 +100,11 @@ class BatchNorm3d:
 class Dropout:
     """Inverted dropout: zero with probability ``rate``, scale survivors."""
 
-    def __init__(self, rate: float, rng: Optional[np.random.Generator] = None):
+    def __init__(self, rate: float, rng: np.random.Generator):
         if not 0.0 <= rate < 1.0:
             raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
         self.rate = rate
-        self.rng = rng or np.random.default_rng(0)
+        self.rng = rng
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         if not train or self.rate == 0.0:

@@ -49,7 +49,7 @@ from .errors import (
     DomainError,
     ParseError,
 )
-from .layers import one_hot, softmax
+from .layers import one_hot
 from .metrics import ConfusionMatrix, confusion, oa_aa_kappa
 from .mi import MiDiscriminator, mi_loss
 from .rng import StreamSet
@@ -222,7 +222,7 @@ def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig)
     # and the fixed subsample that earlier evaluations score
     evals = []
     for name, cube in (("source", source), ("target", target)):
-        if cube.labels is not None:
+        if cube.num_classes() > 0:
             centers = np.argwhere(cube.labels > 0)
             idx = eval_rng.choice(len(centers), size=min(cfg.eval_samples, len(centers)),
                                   replace=False)
@@ -297,9 +297,9 @@ def abundance_map(state: ModelState, cube: HsiCube, needed=None) -> np.ndarray:
     return out.reshape(cube.height, cube.width, -1)
 
 
-def predict_centers(state: ModelState, cube: HsiCube, centers: np.ndarray,
-                    return_proba: bool = False):
-    """Class ids (1-based) for the given pixel centers of a cube.
+def predict_centers(state: ModelState, cube: HsiCube, centers: np.ndarray) -> np.ndarray:
+    """Class logits [n, k] at the given pixel centers of a cube; class
+    ``j + 1`` scores in column ``j``.
 
     Only the pixels that the centers' windows read are encoded.
     """
@@ -308,32 +308,22 @@ def predict_centers(state: ModelState, cube: HsiCube, centers: np.ndarray,
             f"cube has {cube.bands} bands, model expects {state.model_cfg.bands}")
     patch_size = state.model_cfg.patch_size
     amap = abundance_map(state, cube,
-                         window_pixels(cube.height, cube.width, centers, patch_size,
-                                       PREDICT_BATCH))
-    preds = np.empty(len(centers), dtype=np.int64)
-    probas = np.empty((len(centers), state.model_cfg.num_classes)) if return_proba else None
+                         window_pixels(cube.height, cube.width, centers, patch_size))
+    logits = np.empty((len(centers), state.model_cfg.num_classes))
     with no_grad():
         for start in range(0, len(centers), PREDICT_BATCH):
             chunk = centers[start:start + PREDICT_BATCH]
             patch = abundance_patches_from_map(amap, chunk, patch_size)
-            logits = state.classifier.logits(patch, train=False).data
-            preds[start:start + len(chunk)] = logits.argmax(axis=1) + 1
-            if return_proba:
-                probas[start:start + len(chunk)] = softmax(logits)
-    return (preds, probas) if return_proba else preds
+            logits[start:start + len(chunk)] = state.classifier.logits(patch, train=False).data
+    return logits
 
 
-def predict(state: ModelState, cube: HsiCube, return_proba: bool = False):
-    """Per-pixel class raster for a whole cube; pure in the frozen state."""
+def predict(state: ModelState, cube: HsiCube) -> np.ndarray:
+    """Class logits [H, W, k] for every pixel of a cube; pure in the frozen state."""
     rows, cols = np.meshgrid(np.arange(cube.height), np.arange(cube.width),
                              indexing="ij")
     centers = np.stack([rows.reshape(-1), cols.reshape(-1)], axis=1)
-    result = predict_centers(state, cube, centers, return_proba=return_proba)
-    if return_proba:
-        preds, probas = result
-        return (preds.reshape(cube.height, cube.width),
-                probas.reshape(cube.height, cube.width, -1))
-    return result.reshape(cube.height, cube.width)
+    return predict_centers(state, cube, centers).reshape(cube.height, cube.width, -1)
 
 
 def _accuracy(state: ModelState, cube: HsiCube, centers: np.ndarray) -> ConfusionMatrix:
@@ -341,7 +331,7 @@ def _accuracy(state: ModelState, cube: HsiCube, centers: np.ndarray) -> Confusio
 
     It also covers any label of the cube beyond the model's classes.
     """
-    preds = predict_centers(state, cube, centers)
+    preds = predict_centers(state, cube, centers).argmax(axis=1) + 1
     truth = cube.labels[centers[:, 0], centers[:, 1]]
     return confusion(truth, preds,
                      max(state.model_cfg.num_classes, int(cube.labels.max())))
@@ -362,12 +352,12 @@ def run_ablation(model_cfg: ModelConfig, base_cfg: TrainConfig,
     """Train each variant on the same data and seed; returns comparison rows.
 
     A variant's scores are those of its final training evaluation, which
-    covers every labeled pixel of both domains, so the target needs labels
-    and training at least one epoch.
+    covers every labeled pixel of both domains, so the target needs labeled
+    pixels and training at least one epoch.
     """
-    if target.labels is None:
+    if target.num_classes() == 0:
         raise ContractError("ablation scores the target domain; the target cube "
-                            "has no labels")
+                            "has no labeled pixels")
     if base_cfg.epochs < 1:
         raise ConfigError("ablation scores each variant by its final training "
                           "evaluation; train.epochs must be >= 1")

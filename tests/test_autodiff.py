@@ -260,14 +260,14 @@ class TestConv3d:
 
 class TestReductions:
     def test_cumprod_exclusive_prefix(self):
-        out = cumprod(Tensor([0.5, 0.5, 0.5]), exclusive=True)
+        out = cumprod(Tensor([0.5, 0.5, 0.5]))
         npt.assert_array_equal(out.data, [1.0, 0.5, 0.25])
 
     def test_cumprod_exclusive_head_is_exactly_one(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             v = rng.standard_normal((4, 6))
-            out = cumprod(Tensor(v), axis=1, exclusive=True)
+            out = cumprod(Tensor(v))
             assert np.all(out.data[:, 0] == 1.0)
 
     def test_sum_axis(self):
@@ -281,15 +281,16 @@ class TestReductions:
     def test_cumprod_gradient_with_zero_entry(self):
         x = np.array([[0.3, 0.0, 0.8, 0.5], [0.2, 0.9, 0.0, 0.1]])
         w = np.random.default_rng(13).standard_normal(x.shape)
-        for exclusive in (False, True):
-            t = Tensor(x.copy())
-            assert fd_check(lambda: reduce_sum(cumprod(t, axis=1, exclusive=exclusive)
-                                               * Tensor(w)), [t]) < 1e-5
+        t = Tensor(x.copy())
+        assert fd_check(lambda: reduce_sum(cumprod(t) * Tensor(w)), [t]) < 1e-5
 
     def test_cumprod_matches_numpy(self):
+        # along the last axis, numpy's inclusive products shifted by one place
         rng = np.random.default_rng(2)
-        x = rng.uniform(0.1, 1.0, (3, 5))
-        npt.assert_allclose(cumprod(Tensor(x), axis=1).data, np.cumprod(x, axis=1))
+        x = rng.uniform(0.1, 1.0, (2, 3, 5))
+        out = cumprod(Tensor(x)).data
+        assert np.all(out[..., 0] == 1.0)
+        npt.assert_allclose(out[..., 1:], np.cumprod(x, axis=-1)[..., :-1])
 
 
 class TestShapeOps:

@@ -32,6 +32,11 @@ def encoder(bands, abundance_dim, seed):
                    rng=np.random.default_rng(seed))
 
 
+def classifier(cfg, seed):
+    return Classifier3d(cfg, rng=np.random.default_rng(seed),
+                        dropout_rng=np.random.default_rng(0))
+
+
 def random_abundance_patch(rng, n, c, p):
     raw = rng.uniform(0.05, 1.0, (n, p, p, c))
     raw /= raw.sum(axis=3, keepdims=True)
@@ -48,7 +53,7 @@ class TestConfig:
 class TestDenseConnectivity:
     def test_block_input_channels(self):
         cfg = ModelConfig(bands=4, abundance_dim=4, num_classes=3, patch_size=5)
-        clf = Classifier3d(cfg, rng=np.random.default_rng(0))
+        clf = classifier(cfg, seed=0)
         for i, block in enumerate(clf.blocks):
             expected = 1 + sum(cfg.block_channels[:i])
             assert block.kernels.shape[1] == expected
@@ -61,7 +66,7 @@ class TestDenseConnectivity:
 class TestLogits:
     def test_zero_head_gives_uniform_softmax(self):
         cfg = tiny_config(num_classes=4)
-        clf = Classifier3d(cfg, rng=np.random.default_rng(1))
+        clf = classifier(cfg, seed=1)
         clf.head.weight.data[:] = 0.0
         clf.head.bias.data[:] = 0.0
         patch = random_abundance_patch(np.random.default_rng(2), 3, 3, 3)
@@ -72,7 +77,7 @@ class TestLogits:
                             np.log(4.0), atol=1e-12)
 
     def test_inference_deterministic(self):
-        clf = Classifier3d(tiny_config(dropout_rate=0.5), rng=np.random.default_rng(3))
+        clf = classifier(tiny_config(dropout_rate=0.5), seed=3)
         patch = random_abundance_patch(np.random.default_rng(4), 2, 3, 3)
         with no_grad():
             a = clf.logits(patch, train=False).data
@@ -80,7 +85,7 @@ class TestLogits:
         npt.assert_array_equal(a, b)
 
     def test_wrong_patch_dims_rejected(self):
-        clf = Classifier3d(tiny_config(), rng=np.random.default_rng(5))
+        clf = classifier(tiny_config(), seed=5)
         wrong_size = random_abundance_patch(np.random.default_rng(6), 2, 3, 5)
         fits = random_abundance_patch(np.random.default_rng(6), 2, 3, 3).data
         no_channel_axis = Tensor(fits[:, 0])
@@ -91,7 +96,7 @@ class TestLogits:
 
     def test_end_to_end_gradient(self):
         cfg = tiny_config()
-        clf = Classifier3d(cfg, rng=np.random.default_rng(7))
+        clf = classifier(cfg, seed=7)
         patch = random_abundance_patch(np.random.default_rng(8), 2, 3, 3)
         labels = Tensor(one_hot(np.array([0, 1]), 2))
         params = [t for _, t in clf.parameters()]
@@ -135,22 +140,34 @@ class TestPatchExtraction:
         centers = [(0, 0), (2, 5), (3, 1)]
         index = np.arange(4 * 6, dtype=float).reshape(4, 6, 1)
         read = np.unique(extract_patches(index, centers, patch_size))
-        mask = window_pixels(4, 6, centers, patch_size, batch=2)
+        mask = window_pixels(4, 6, centers, patch_size)
         npt.assert_array_equal(np.flatnonzero(mask), read)
-        assert not window_pixels(4, 6, np.zeros((0, 2), dtype=int), patch_size, 2).any()
+        assert not window_pixels(4, 6, np.zeros((0, 2), dtype=int), patch_size).any()
+
+    def test_window_pixels_match_the_windows_on_maps_smaller_than_a_window(self):
+        # mirror padding wider than the map reflects more than once
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            h, w = rng.integers(1, 9, 2)
+            p = 2 * int(rng.integers(0, 12)) + 1
+            centers = np.stack([rng.integers(0, h, 5), rng.integers(0, w, 5)], axis=1)
+            centers = centers[:rng.integers(1, 6)]
+            index = np.arange(h * w, dtype=float).reshape(h, w, 1)
+            read = np.unique(extract_patches(index, centers, p))
+            npt.assert_array_equal(np.flatnonzero(window_pixels(h, w, centers, p)), read)
 
     def test_window_pixels_hold_one_batch_of_windows(self):
         """Every pixel of a 64x64 cube as a center at patch 11: the traced
-        peak stays below the index map, its padding and three batches of
-        index windows (one gathered, the rest numpy's indexing temporaries),
-        far below the 4 MB that all 4096 windows take at once."""
+        peak stays below an index map, its padding and three batches of 256
+        index windows, far below the 4 MB that all 4096 windows take at
+        once."""
         import tracemalloc
 
         h, w, p, batch = 64, 64, 11, 256
         centers = np.argwhere(np.ones((h, w), dtype=bool))
         tracemalloc.start()
         try:
-            mask = window_pixels(h, w, centers, p, batch)
+            mask = window_pixels(h, w, centers, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -189,7 +206,7 @@ class TestEncodeBridge:
 
     def test_translation_consistency(self):
         enc = encoder(4, 3, seed=16)
-        clf = Classifier3d(tiny_config(num_classes=3), rng=np.random.default_rng(17))
+        clf = classifier(tiny_config(num_classes=3), seed=17)
         rng = np.random.default_rng(18)
         cube = rng.uniform(0.0, 1.0, (9, 9, 4))
         with no_grad():
@@ -201,7 +218,7 @@ class TestEncodeBridge:
 
     def test_classifier_gradients_reach_encoder(self):
         enc = encoder(4, 3, seed=19)
-        clf = Classifier3d(tiny_config(num_classes=3), rng=np.random.default_rng(20))
+        clf = classifier(tiny_config(num_classes=3), seed=20)
         rng = np.random.default_rng(21)
         pixels = rng.uniform(0.0, 1.0, (2, 3, 3, 4))
         labels = Tensor(one_hot(np.array([0, 2]), 3))
@@ -216,7 +233,7 @@ class TestEncodeBridge:
 class TestTrainingSanity:
     def test_loss_decreases_on_separable_toy(self):
         cfg = tiny_config(num_classes=2)
-        clf = Classifier3d(cfg, rng=np.random.default_rng(22))
+        clf = classifier(cfg, seed=22)
         rng = np.random.default_rng(23)
         # two classes with distinct dominant abundance components
         n = 8

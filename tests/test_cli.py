@@ -58,6 +58,14 @@ def assert_usage_error(capsys, argv):
     return err[0]
 
 
+def without_labeled_pixels(scene, tmp_path):
+    """The target cube beside a label raster that labels no pixel."""
+    cube = read_cube(scene / "data/target.hsic")
+    path = tmp_path / "unlabeled.hsic"
+    write_cube(HsiCube(cube.reflectance, np.zeros_like(cube.labels)), path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def trained(scene):
     out = scene / "run"
@@ -100,6 +108,13 @@ class TestGenSynth:
         err = assert_usage_error(capsys, ["gen-synth", "--spec", str(spec), "--out", str(out)])
         assert named in err
         assert not out.exists()
+
+    def test_the_removed_envelope_weight_is_an_unknown_key(self, tmp_path, capsys):
+        spec = tmp_path / "synth.cfg"
+        spec.write_text(SYNTH_CFG + "synth.envelope_weight = 0.0\n")
+        err = assert_usage_error(capsys, ["gen-synth", "--spec", str(spec),
+                                          "--out", str(tmp_path / "data")])
+        assert "unknown key 'synth.envelope_weight'" in err
 
     def test_resolved_config_regenerates_identical_bytes(self, scene, tmp_path):
         spec = scene / "data" / "resolved-config.txt"
@@ -237,6 +252,19 @@ class TestTrain:
                            + ["--set", setting])
         assert not list(out.glob("model*.pctl"))
 
+    def test_a_target_without_labeled_pixels_is_not_scored(self, scene, tmp_path, capsys):
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--source", str(scene / "data/source.hsic"),
+                         "--target", str(without_labeled_pixels(scene, tmp_path)),
+                         "--out", str(out)] + TRAIN_OVERRIDES) == 0
+        summary = capsys.readouterr().out
+        assert "source OA" in summary and "target OA" not in summary
+        header, *rows = (out / "metrics.csv").read_text().splitlines()
+        assert header.endswith(",source_oa,target_oa")
+        assert rows and all(row.endswith(",") for row in rows)
+
     def test_unknown_config_key_exits_2(self, scene, tmp_path, capsys):
         code = main(["train", "--source", str(scene / "data/source.hsic"),
                      "--target", str(scene / "data/target.hsic"),
@@ -289,8 +317,8 @@ class TestPredictEvaluate:
 
         assert main(predict_with(kept, tmp_path / "kept.hsil")) == 0
         state = load_checkpoint(trained / "model.pctl")
-        npt.assert_array_equal(read_labels(tmp_path / "kept.hsil"),
-                               predict(state, read_cube(scene / "data/target.hsic")))
+        logits = predict(state, read_cube(scene / "data/target.hsic"))
+        npt.assert_array_equal(read_labels(tmp_path / "kept.hsil"), logits.argmax(axis=2) + 1)
         err = assert_usage_error(capsys, predict_with(removed, tmp_path / "p.hsil"))
         assert named in err
         assert not (tmp_path / "p.hsil").exists()
@@ -411,6 +439,15 @@ class TestProject2d:
                                     "--out", str(out), "--max-per-class", cap])
         assert not out.exists()
 
+    def test_a_target_without_labeled_pixels_exits_2(self, scene, trained, tmp_path, capsys):
+        out = tmp_path / "proj"
+        err = assert_usage_error(capsys, ["project2d", "--checkpoint", str(trained / "model.pctl"),
+                                          "--source", str(scene / "data/source.hsic"),
+                                          "--target", str(without_labeled_pixels(scene, tmp_path)),
+                                          "--out", str(out)])
+        assert "target cube needs labeled pixels" in err
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, scene, trained, tmp_path, capsys):
         out = tmp_path / "proj"
         err = assert_usage_error(capsys, ["project2d", "--checkpoint", str(trained / "model.pctl"),
@@ -445,6 +482,15 @@ class TestAblateCommand:
         assert not list(out.glob("model-*.pctl"))
         assert not (out / "resolved-config.txt").exists()
 
+    def test_a_target_without_labeled_pixels_exits_2(self, scene, tmp_path, capsys):
+        out = tmp_path / "ablate"
+        err = assert_usage_error(capsys, ["ablate", "--source", str(scene / "data/source.hsic"),
+                                          "--target", str(without_labeled_pixels(scene, tmp_path)),
+                                          "--out", str(out)] + TRAIN_OVERRIDES)
+        assert "no labeled pixels" in err
+        assert not list(out.glob("model-*.pctl"))
+        assert not (out / "resolved-config.txt").exists()
+
     def test_zero_epochs_exits_2(self, scene, tmp_path, capsys):
         out = tmp_path / "ablate"
         assert_usage_error(capsys, ["ablate", "--source", str(scene / "data/source.hsic"),
@@ -453,6 +499,33 @@ class TestAblateCommand:
                            + TRAIN_OVERRIDES + ["--set", "train.epochs=0"])
         assert not list(out.glob("model-*.pctl"))
         assert not (out / "resolved-config.txt").exists()
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize("case", ["predict --out <directory>",
+                                      "predict --checkpoint <directory>",
+                                      "gen-synth --spec <directory>",
+                                      "gen-synth --out <file>"])
+    def test_an_unusable_path_exits_2_and_names_it(self, scene, trained, tmp_path, capsys,
+                                                   case):
+        folder, a_file = tmp_path / "folder", tmp_path / "file"
+        folder.mkdir()
+        a_file.write_text("")
+        cube = str(scene / "data/target.hsic")
+        bad, argv = {
+            "predict --out <directory>":
+                (folder, ["predict", "--checkpoint", str(trained / "model.pctl"),
+                          "--cube", cube, "--out", str(folder)]),
+            "predict --checkpoint <directory>":
+                (folder, ["predict", "--checkpoint", str(folder), "--cube", cube,
+                          "--out", str(tmp_path / "p.hsil")]),
+            "gen-synth --spec <directory>":
+                (folder, ["gen-synth", "--spec", str(folder), "--out", str(tmp_path / "data")]),
+            "gen-synth --out <file>":
+                (a_file, ["gen-synth", "--spec", str(scene / "synth.cfg"),
+                          "--out", str(a_file)]),
+        }[case]
+        assert str(bad) in assert_usage_error(capsys, argv)
 
 
 class TestGradcheckCommand:
@@ -499,9 +572,9 @@ class TestRunConfig:
             return {f.name for f in fields(cls)}
         assert set(settable(TrainConfig)) == names(TrainConfig)
         assert set(settable(ModelConfig)) == names(ModelConfig) - {"bands", "num_classes"}
-        assert set(settable(SynthSpec)) == names(SynthSpec) - {"concentrations", "basis"}
+        assert set(settable(SynthSpec)) == names(SynthSpec)
         assert [len(settable(c)) for c in (TrainConfig, ModelConfig, SynthSpec)] == \
-            [12, 7, 11]
+            [12, 7, 10]
 
     def test_readme_table_lists_the_settable_keys(self):
         # each row names its keys in field order; parenthesized notes may

@@ -7,6 +7,7 @@ from pctl.autodiff import Tensor, fresh_tape
 from pctl.errors import ConfigError, ContractError, DimensionError
 from pctl.gradcheck import fd_check
 from pctl.layers import (
+    BN_EPSILON,
     BatchNorm3d,
     DenseLayer,
     Dropout,
@@ -19,14 +20,14 @@ from pctl.layers import (
 
 class TestDenseLayer:
     def test_identity_weights_pass_input_through(self):
-        layer = DenseLayer(3, 3, activation="none")
+        layer = DenseLayer(3, 3, np.random.default_rng(0), activation="none")
         layer.weight.data = np.eye(3)
         layer.bias.data = np.zeros(3)
         x = np.random.default_rng(0).standard_normal((5, 3))
         npt.assert_array_equal(layer(Tensor(x)).data, x)
 
     def test_relu_activation(self):
-        layer = DenseLayer(2, 2, activation="relu")
+        layer = DenseLayer(2, 2, np.random.default_rng(0), activation="relu")
         layer.weight.data = np.eye(2)
         layer.bias.data = np.zeros(2)
         npt.assert_array_equal(layer(Tensor([[-1.0, 2.0]])).data, [[0.0, 2.0]])
@@ -40,7 +41,7 @@ class TestDenseLayer:
 
     def test_wrong_width_rejected(self):
         with pytest.raises(DimensionError):
-            DenseLayer(3, 2)(Tensor(np.zeros((4, 5))))
+            DenseLayer(3, 2, np.random.default_rng(0))(Tensor(np.zeros((4, 5))))
 
     def test_two_layer_stack_gradient(self):
         rng = np.random.default_rng(2)
@@ -83,13 +84,13 @@ class TestSoftmaxCrossEntropy:
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
-        d = Dropout(0.0)
+        d = Dropout(0.0, np.random.default_rng(0))
         x = Tensor(np.ones((3, 3)))
         assert d(x, train=True) is x
         assert d(x, train=False) is x
 
     def test_inference_is_identity(self):
-        d = Dropout(0.5)
+        d = Dropout(0.5, np.random.default_rng(0))
         x = Tensor(np.ones((3, 3)))
         assert d(x, train=False) is x
 
@@ -110,7 +111,7 @@ class TestDropout:
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ConfigError):
-            Dropout(1.0)
+            Dropout(1.0, np.random.default_rng(0))
 
 
 class TestBatchNorm3d:
@@ -133,7 +134,7 @@ class TestBatchNorm3d:
         o2 = bn(x, train=False).data
         npt.assert_array_equal(o1, o2)
         expected = (x.data - bn.running_mean.reshape(1, 2, 1, 1, 1)) / \
-            np.sqrt(bn.running_var.reshape(1, 2, 1, 1, 1) + bn.epsilon)
+            np.sqrt(bn.running_var.reshape(1, 2, 1, 1, 1) + BN_EPSILON)
         npt.assert_allclose(o1, expected, atol=1e-12)
 
     def test_gradients_flow_through_batch_statistics(self):

@@ -52,6 +52,11 @@ def tiny_train(**kw):
     return TrainConfig(**base)
 
 
+def raster(state, cube):
+    """The class id (1-based) of the highest logit at every pixel."""
+    return predict(state, cube).argmax(axis=2) + 1
+
+
 def params_snapshot(state):
     return {name: t.data.copy() for name, t in state.parameters()}
 
@@ -280,7 +285,7 @@ class TestTraining:
         cfg = tiny_train(epochs=1)
         state = ModelState(tiny_model(), cfg, seed=11)
         rows = train(state, source, target, cfg)
-        preds = predict(state, target)
+        preds = raster(state, target)
         assert rows[-1]["target_oa"] == np.mean(preds[labels > 0] == labels[labels > 0])
         assert np.shape(rows[-1]["target_cm"]) == (4, 4)
 
@@ -306,22 +311,22 @@ class TestPredictEvaluate:
 
     def test_raster_shape_and_range(self, trained):
         state, source, _, _ = trained
-        raster = predict(state, source)
-        assert raster.shape == (source.height, source.width)
-        assert raster.min() >= 1 and raster.max() <= 3
+        assert predict(state, source).shape == (source.height, source.width, 3)
+        classes = raster(state, source)
+        assert classes.min() >= 1 and classes.max() <= 3
 
     def test_predict_matches_logged_final_source_oa(self, trained):
         state, source, _, rows = trained
-        raster = predict(state, source)
+        classes = raster(state, source)
         labeled = source.labels > 0
-        oa = float(np.mean(raster[labeled] == source.labels[labeled]))
+        oa = float(np.mean(classes[labeled] == source.labels[labeled]))
         npt.assert_allclose(oa, rows[-1]["source_oa"], atol=1e-12)
 
     def test_argmax_invariant_to_constant_logit_shift(self, trained):
         state, source, _, _ = trained
-        before = predict(state, source)
+        before = raster(state, source)
         state.classifier.head.bias.data += 7.5  # same shift for every class
-        after = predict(state, source)
+        after = raster(state, source)
         state.classifier.head.bias.data -= 7.5
         npt.assert_array_equal(before, after)
 
@@ -329,7 +334,7 @@ class TestPredictEvaluate:
         state, source, _, _ = trained
         oa, aa, kappa = evaluate(state, source)
         centers = np.argwhere(source.labels > 0)
-        preds = predict_centers(state, source, centers)
+        preds = predict_centers(state, source, centers).argmax(axis=1) + 1
         truth = source.labels[centers[:, 0], centers[:, 1]]
         cm = confusion(truth, preds, 3)
         expected = oa_aa_kappa(cm)
@@ -339,12 +344,12 @@ class TestPredictEvaluate:
         """Encoding only the pixels the windows read, mirrored ones included,
         gives the predictions of the whole-cube map, at the border too."""
         state, _, target, _ = trained
-        whole = predict(state, target)
+        whole = raster(state, target)
         rng = np.random.default_rng(3)
         centers = np.argwhere(np.ones(whole.shape, dtype=bool))
         centers = np.concatenate([centers[rng.choice(len(centers), 12, replace=False)],
                                   [[0, 0], [target.height - 1, target.width - 1]]])
-        npt.assert_array_equal(predict_centers(state, target, centers),
+        npt.assert_array_equal(predict_centers(state, target, centers).argmax(axis=1) + 1,
                                whole[centers[:, 0], centers[:, 1]])
 
     def test_band_mismatch_on_predict(self, trained):
