@@ -413,8 +413,9 @@ def cumprod(a: Tensor) -> Tensor:
 
 # -- 3-D convolution ----------------------------------------------------------
 
-# float64 values in one conv3d column tile (512 KiB), the operand of one GEMM
+# a conv3d column tile: TILE_ELEMENTS float64 values (512 KiB), or TILE_ROWS rows if more
 TILE_ELEMENTS = 1 << 16
+TILE_ROWS = 128
 
 
 def _pad_spec(padding):
@@ -439,94 +440,92 @@ def _pad(a, pads):
     return out
 
 
-def _tiling(n, voxels, kd, kh, row):
-    """Samples per column tile, the kernel-row groups (i0, i1, j0, j1) that
-    take one GEMM per tile each, and the largest tile's size.
-
-    A kernel row adds ``voxels * row`` values per sample to a tile. When one
-    sample's kd*kh rows fit TILE_ELEMENTS they form one group, and a tile holds
-    as many samples as fit. Otherwise a tile holds one sample, and the rows
-    split as evenly as the budget allows: into groups of whole depth taps,
-    or, when one depth tap does not fit, into runs of rows within one. A
-    single row of one sample is the smallest tile, even above the budget.
-    """
-    per_row = voxels * row
-    fit = max(1, TILE_ELEMENTS // per_row)
-    if fit >= kd * kh:
-        per_tile = min(n, max(1, TILE_ELEMENTS // (per_row * kd * kh)))
-        return per_tile, ((0, kd, 0, kh),), per_tile * per_row * kd * kh
-    if fit >= kh:
-        parts = -(-kd // (fit // kh))
-        groups = tuple((p * kd // parts, (p + 1) * kd // parts, 0, kh) for p in range(parts))
-        return 1, groups, -(-kd // parts) * kh * per_row
-    parts = -(-kh // fit)
-    groups = tuple((i, i + 1, p * kh // parts, (p + 1) * kh // parts)
-                   for i in range(kd) for p in range(parts))
-    return 1, groups, -(-kh // parts) * per_row
+def _tiling(n, planes, plane, rows):
+    """The (first sample, end sample, first plane, end plane) of each tile
+    over ``n`` samples of ``planes`` output depth planes, a plane being
+    ``rows`` tile rows of ``plane`` values. A tile is as many whole samples as
+    fit TILE_ELEMENTS values or TILE_ROWS rows, whichever is more (a GEMM
+    packs its kernel once for all rows), or else an even run of one sample's
+    planes, the first the longest, of one plane at the least."""
+    fit = max(1, TILE_ELEMENTS // plane, -(-TILE_ROWS // rows))
+    if fit >= planes:
+        step = min(n, fit // planes)
+        return [(n0, min(n0 + step, n), 0, planes) for n0 in range(0, n, step)]
+    step = -(-planes // -(-planes // fit))
+    return [(s, s + 1, d0, min(d0 + step, planes))
+            for s in range(n) for d0 in range(0, planes, step)]
 
 
-def _tiles(xl, out_dims, kd, kh, kw):
-    """Yield (first row, end row, group, tile) over a padded channels-last
-    input ``xl``: ``tile`` is the [rows, group's kernel rows * kw * c] column
-    matrix of one batch tile and one kernel-row group, its rows counting the
-    [N, *out_dims] output voxels. The storage is shared by the tiles of one
-    call, so a tile is valid until the next one is yielded.
-
-    The kw taps of kernel row (i, j) read one contiguous run of kw*c values
-    per output voxel, so a strided view of those runs needs no copy, and a
-    tile is one copy out of it.
-    """
-    n, c = xl.shape[0], xl.shape[4]
-    row = kw * c
-    voxels = out_dims[0] * out_dims[1] * out_dims[2]
-    per_tile, groups, size = _tiling(n, voxels, kd, kh, row)
-    store = np.empty(size)
+def _tiles(xl, planes, kd, kh):
+    """Yield (index, tile) over a D/H-padded channels-last input ``xl``.
+    ``tile`` [rows, kd*kh*c] has a row per input column (n, od, oh, iw), the
+    padded input at (od+i, oh+j, iw), copied out of a strided view of ``xl``
+    into storage shared by the tiles of one call. ``index`` selects its
+    samples and planes of [N, Do, ...]."""
+    n, _, hp, w, c = xl.shape
     sn, sd, sh, sw, sc = xl.strides
-    runs = np.ndarray((n, *out_dims, kd, kh, row), xl.dtype, xl, 0,
-                      (sn, sd, sh, sw, sd, sh, sc))
-    for n0 in range(0, n, per_tile):
-        n1 = min(n0 + per_tile, n)
-        for group in groups:
-            i0, i1, j0, j1 = group
-            tile = store[:(n1 - n0) * voxels * (i1 - i0) * (j1 - j0) * row].reshape(
-                n1 - n0, *out_dims, i1 - i0, j1 - j0, row)
-            tile[...] = runs[n0:n1, :, :, :, i0:i1, j0:j1]
-            yield n0 * voxels, n1 * voxels, group, tile.reshape((n1 - n0) * voxels, -1)
+    windows = np.ndarray((n, planes, hp - kh + 1, w, kd, kh, c), xl.dtype, xl, 0,
+                         (sn, sd, sh, sw, sd, sh, sc))
+    spans = _tiling(n, planes, windows[0, 0].size, (hp - kh + 1) * w)
+    n0, n1, d0, d1 = spans[0]
+    store = np.empty(windows[n0:n1, d0:d1].size)
+    for n0, n1, d0, d1 in spans:
+        view = windows[n0:n1, d0:d1]
+        tile = store[:view.size].reshape(view.shape)
+        tile[...] = view
+        yield (slice(n0, n1), slice(d0, d1)), tile.reshape(-1, kd * kh * c)
 
 
-def _correlate(xl, kmat, kw, out):
-    """out [N, Do, Ho, Wo, c_out] = the correlation of the padded channels-last
-    ``xl`` with ``kmat`` [kd, kh, kw * c_in, c_out]: one GEMM per tile and
-    kernel-row group, the first group of a tile written straight into ``out``."""
-    kd, kh, _, co = kmat.shape
-    out2 = out.reshape(-1, co)
-    for m0, m1, (i0, i1, j0, j1), tile in _tiles(xl, out.shape[1:4], kd, kh, kw):
-        kg = kmat[i0:i1, j0:j1].reshape(-1, co)
-        if i0 == 0 and j0 == 0:
-            np.matmul(tile, kg, out=out2[m0:m1])
-        else:
-            out2[m0:m1] += tile @ kg
+def _kmat(k):
+    """[c_out, c_in, kd, kh, kw] kernels as a [kd*kh*c_in, kw*c_out] matrix."""
+    co, ci, kd, kh, kw = k.shape
+    return k.transpose(2, 3, 1, 4, 0).reshape(kd * kh * ci, kw * co)
+
+
+def _correlate(xl, kmat, ksize, wl, out):
+    """out [N, Do, Ho, Wo, c_out] = the correlation of the D/H-padded
+    channels-last ``xl`` with ``kmat`` (laid out by ``_kmat``), input column
+    0 sitting at output column ``wl``. One GEMM per tile gives every W tap's
+    product with every input column, and kw shifted adds place them. At
+    kw = 1 the GEMM writes straight into ``out``."""
+    kd, kh, kw = ksize
+    w, (wo, co) = xl.shape[3], out.shape[3:]
+    y = None
+    for index, tile in _tiles(xl, out.shape[1], kd, kh):
+        o = out[index]
+        if kw == 1:
+            np.matmul(tile, kmat, out=o.reshape(-1, co))
+            continue
+        y = np.empty((len(tile), kw * co)) if y is None else y
+        taps = np.matmul(tile, kmat, out=y[:len(tile)]).reshape(*o.shape[:3], w, kw, co)
+        o[..., :wl, :] = 0
+        for l in range(kw):  # tap l adds input column iw into output column iw + wl - l
+            o0, i0 = max(0, wl - l), max(0, l - wl)
+            m = max(0, min(wo - o0, w - i0))
+            if l:
+                o[..., o0:o0 + m, :] += taps[..., i0:i0 + m, l, :]
+            else:
+                o[..., o0:o0 + m, :] = taps[..., :m, 0, :]
 
 
 def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
     """Cross-correlation over the three trailing axes, at stride 1.
 
     ``x`` is [batch, c_in, D, H, W] and ``kernels`` is [c_out, c_in, kd, kh,
-    kw]. The input is padded once into a channels-last buffer, where the kw
-    taps of one kernel row read one contiguous run of kw*c_in values per
-    output voxel. Groups of kernel rows are copied out of a strided view of
-    those runs into one reused column tile of about TILE_ELEMENTS values,
-    tiled over the batch, and each (tile, group) adds one GEMM of inner
-    dimension rows*kw*c_in into the channels-last output. When all kd*kh rows
-    of a sample fit, that is one GEMM per tile, written straight into the
-    output. This is the middle ground between im2col and one GEMM per kernel
-    tap (Anderson et al., arXiv:1709.03395): no im2col matrix is built, so
-    memory stays a few times the input and output whatever the kernel.
+    kw]. The input is padded along D and H only, once, channels-last. Column
+    tiles (``_tiling``) hold a row of kd*kh*c_in values per input column:
+    im2col over depth and height. One GEMM of a tile with the [kd*kh*c_in,
+    kw*c_out] kernel computes all kw width taps, and kw shifted adds place
+    them in the output: kn2row over width (Anderson et al., arXiv:1709.03395).
+    W padding is only the range of output columns each tap reaches. No
+    im2col matrix is built, so memory stays a few times the operands.
 
     The backward pass keeps only the padded buffer. The kernel gradient is
-    tile.T @ g over the same tiles. The input gradient is the same forward,
-    run on g with the flipped, channel-swapped kernel and the mirrored padding
-    (k-1-lo, k-1-hi). A padding outside 0..k-1 raises DimensionError.
+    tile.T @ dY over the same tiles, dY being g shifted into the kw tap
+    columns; at kw = 1, dY is g. The input gradient is the same forward, run
+    on g with the flipped, channel-swapped kernel, the mirrored D/H padding
+    (k-1-lo, k-1-hi) and the W offset kw-1-lo. A padding outside 0..k-1
+    raises DimensionError.
     """
     xd = x.data
     if xd.ndim != 5:
@@ -545,30 +544,31 @@ def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
     # backward's mirrored padding negative
     if any(not 0 <= p < k for k, pair in zip(ksize, pads) for p in pair):
         raise DimensionError(f"conv3d: padding {pads} must lie in 0..k-1 for kernel {ksize}")
-    xl = _pad(xd.transpose(0, 2, 3, 4, 1), pads)
-    if any(p < k for p, k in zip(xl.shape[1:4], ksize)):
-        raise DimensionError(
-            f"conv3d: kernel {ksize} larger than padded input {xl.shape[1:4]}")
-    out_dims = (xl.shape[1] - kd + 1, xl.shape[2] - kh + 1, xl.shape[3] - kw + 1)
+    padded = [n + lo + hi for n, (lo, hi) in zip((D, H, W), pads)]
+    if any(p < k for p, k in zip(padded, ksize)):
+        raise DimensionError(f"conv3d: kernel {ksize} larger than padded input {tuple(padded)}")
+    out_dims = tuple(p - k + 1 for p, k in zip(padded, ksize))
+    wl, wh = pads[2]
+    xl = _pad(xd.transpose(0, 2, 3, 4, 1), pads[:2] + [(0, 0)])
     out = np.empty((N, *out_dims, Co))
-    _correlate(xl, kd_.transpose(2, 3, 4, 1, 0).reshape(kd, kh, kw * Ci, Co), kw, out)
+    _correlate(xl, _kmat(kd_), ksize, wl, out)
 
     def bwd(g):
-        g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))
-        g2 = g_cl.reshape(-1, Co)
-        dk = np.empty((kd, kh, kw * Ci, Co))
-        for m0, m1, (i0, i1, j0, j1), tile in _tiles(xl, out_dims, kd, kh, kw):
-            dkg = dk[i0:i1, j0:j1].reshape(-1, Co)
-            if m0 == 0:
-                np.matmul(tile.T, g2[m0:m1], out=dkg)
-            else:
-                dkg += tile.T @ g2[m0:m1]
-        mirrored = [(k - 1 - lo, k - 1 - hi) for k, (lo, hi) in zip(ksize, pads)]
-        flipped = kd_.transpose(2, 3, 4, 0, 1)[::-1, ::-1, ::-1]
+        g_cl = g.transpose(0, 2, 3, 4, 1)
+        # dY[n, od, oh, iw, l] = g[n, od, oh, iw + wl - l], zero outside g
+        gw = _pad(g_cl, [(0, 0), (0, 0), (kw - 1 - wl, kw - 1 - wh)])
+        sn, sd, sh, sw, sc = gw.strides
+        dy = np.ndarray((N, *out_dims[:2], W, kw, Co), gw.dtype, gw, sw * (kw - 1),
+                        (sn, sd, sh, sw, -sw, sc))
+        dk = np.zeros((kd * kh * Ci, kw * Co))
+        for index, tile in _tiles(xl, out_dims[0], kd, kh):
+            dk += tile.T @ dy[index].reshape(len(tile), -1)
+        mirrored = [(k - 1 - lo, k - 1 - hi) for k, (lo, hi) in zip(ksize, pads[:2])]
+        flipped = kd_.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
         dx = np.empty((N, D, H, W, Ci))
-        _correlate(_pad(g_cl, mirrored), flipped.reshape(kd, kh, kw * Co, Ci), kw, dx)
+        _correlate(_pad(g_cl, mirrored + [(0, 0)]), _kmat(flipped), ksize, kw - 1 - wl, dx)
         return (np.ascontiguousarray(dx.transpose(0, 4, 1, 2, 3)),
-                np.ascontiguousarray(dk.reshape(kd, kh, kw, Ci, Co).transpose(4, 3, 0, 1, 2)))
+                np.ascontiguousarray(dk.reshape(kd, kh, Ci, kw, Co).transpose(4, 2, 0, 1, 3)))
 
     return _make("conv3d", np.ascontiguousarray(out.transpose(0, 4, 1, 2, 3)),
                  (x, kernels), bwd)

@@ -190,7 +190,6 @@ def cmd_evaluate(args) -> int:
     k = int(truth.max())
     cm = confusion(truth.reshape(-1), pred.reshape(-1), k)
     oa, aa, kappa = oa_aa_kappa(cm)
-    print(f"OA {100 * oa:.2f} AA {100 * aa:.2f} Kappa {100 * kappa:.2f}")
     if args.report:
         recalls = {}
         for cls in range(1, k + 1):
@@ -201,6 +200,7 @@ def cmd_evaluate(args) -> int:
         Path(args.report).write_text(json.dumps(
             {"oa": oa, "aa": aa, "kappa": kappa, "per_class_recall": recalls,
              "confusion": cm.counts.tolist()}, indent=2) + "\n")
+    print(f"OA {100 * oa:.2f} AA {100 * aa:.2f} Kappa {100 * kappa:.2f}")
     return EXIT_OK
 
 

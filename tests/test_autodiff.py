@@ -185,50 +185,85 @@ class TestConv3d:
     @pytest.mark.parametrize("kernel,padding", CLASSIFIER_KERNELS)
     def test_forward_matches_nested_loops(self, kernel, padding):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 3, 4, 5, 5))
-        k = rng.standard_normal((2, 3) + kernel)
-        xp = np.pad(x, ((0, 0), (0, 0)) + padding)
-        want = np.zeros((2, 2, 4, 5, 5))
-        for n, o, d, h, v in np.ndindex(want.shape):
-            for c, i, j, l in np.ndindex((3,) + kernel):
-                want[n, o, d, h, v] += xp[n, c, d + i, h + j, v + l] * k[o, c, i, j, l]
-        got = conv3d(Tensor(x), Tensor(k), padding=padding).data
-        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+        self.check_against_loops(rng.standard_normal((2, 3, 4, 5, 5)),
+                                 rng.standard_normal((2, 3) + kernel), padding, 6)
 
-    # Column-tile budgets for a batch of 3 at kernel 3x5x5 over a 4x5x5 volume
-    # of 3 channels: a kernel row adds 4*5*5 voxels * 5*3 values = 1500 per
-    # sample, and all 15 rows of a sample take 22500.
+    @staticmethod
+    def check_against_loops(x, k, padding, seed):
+        """conv3d's forward and both gradients of sum(out * w) against nested
+        loops over the output voxels, then against finite differences."""
+        rng = np.random.default_rng(seed)
+        kd, kh, kw = k.shape[2:]
+        xp = np.pad(x, ((0, 0), (0, 0)) + padding)
+        dims = [p - kk + 1 for p, kk in zip(xp.shape[2:], k.shape[2:])]
+        w = rng.standard_normal((x.shape[0], k.shape[0], *dims))
+        want, dxp, dk = np.zeros(w.shape), np.zeros(xp.shape), np.zeros(k.shape)
+        for d, h, v in np.ndindex(*dims):
+            window = xp[:, :, d:d + kd, h:h + kh, v:v + kw]
+            want[:, :, d, h, v] = np.einsum("ncijl,ocijl->no", window, k)
+            dk += np.einsum("ncijl,no->ocijl", window, w[:, :, d, h, v])
+            dxp[:, :, d:d + kd, h:h + kh, v:v + kw] += np.einsum(
+                "ocijl,no->ncijl", k, w[:, :, d, h, v])
+        (dl, _), (hl, _), (wl, _) = padding
+        D, H, W = x.shape[2:]
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        with fresh_tape():
+            out = conv3d(xt, kt, padding=padding)
+            reduce_sum(out * Tensor(w)).backward()
+        npt.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        npt.assert_allclose(xt.grad, dxp[:, :, dl:dl + D, hl:hl + H, wl:wl + W],
+                            rtol=0, atol=1e-12)
+        npt.assert_allclose(kt.grad, dk, rtol=0, atol=1e-12)
+        assert fd_check(lambda: reduce_sum(conv3d(xt, kt, padding=padding) * Tensor(w)),
+                        [xt, kt]) < 1e-5
+
+    # Column-tile budgets (values, rows) for a batch of 3 at kernel 3x5x5 over
+    # a 4x5x5 volume of 3 channels: an output depth plane is 5*5 input columns
+    # (rows) * 3*5*3 values = 1125, and a sample's 4 planes take 4500.
     TILE_PLANS = {
-        "uneven_batch_tiles": (45000, 2, ((0, 3, 0, 5),)),
-        "depth_tap_groups": (15000, 1, ((0, 1, 0, 5), (1, 3, 0, 5))),
-        "runs_within_a_depth_tap": (3000, 1, tuple(
-            (i, i + 1, j0, j1) for i in range(3) for j0, j1 in ((0, 1), (1, 3), (3, 5)))),
-        "one_row_above_budget": (100, 1, tuple(
-            (i, i + 1, j, j + 1) for i in range(3) for j in range(5))),
+        "uneven_batch_tiles": (9000, 1, [(0, 2, 0, 4), (2, 3, 0, 4)]),
+        "depth_planes_within_a_sample": (
+            3375, 1, [(s, s + 1, d0, d0 + 2) for s in range(3) for d0 in (0, 2)]),
+        "one_plane_above_budget": (
+            100, 1, [(s, s + 1, d, d + 1) for s in range(3) for d in range(4)]),
+        "rows_above_budget": (100, 150, [(s, s + 1, 0, 4) for s in range(3)]),
     }
 
     @pytest.mark.parametrize("plan", sorted(TILE_PLANS))
     def test_tiled_forward_and_gradient(self, plan, monkeypatch):
-        """Every way the column tiles can split (over the batch, over kernel
-        rows, below one row) gives the nested-loop forward and the
-        finite-difference gradient."""
-        budget, per_tile, groups = self.TILE_PLANS[plan]
+        """Every way the column tiles can split (over the batch, into runs of
+        depth planes, one plane above the budget, whole samples to reach the
+        fewest rows) gives the nested-loop forward and gradients."""
+        budget, rows, spans = self.TILE_PLANS[plan]
         monkeypatch.setattr(autodiff, "TILE_ELEMENTS", budget)
-        assert autodiff._tiling(3, 100, 3, 5, 15)[:2] == (per_tile, groups)
+        monkeypatch.setattr(autodiff, "TILE_ROWS", rows)
+        plans, tiling = [], autodiff._tiling
+        monkeypatch.setattr(autodiff, "_tiling", lambda *a: plans.append(tiling(*a)) or plans[-1])
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((3, 3, 4, 5, 5))
-        k = rng.standard_normal((2, 3, 3, 5, 5))
-        padding = ((1, 1), (2, 2), (2, 2))
-        xp = np.pad(x, ((0, 0), (0, 0)) + padding)
-        want = np.zeros((3, 2, 4, 5, 5))
-        for d, h, v in np.ndindex(4, 5, 5):
-            want[:, :, d, h, v] = np.einsum("ncijl,ocijl->no",
-                                            xp[:, :, d:d + 3, h:h + 5, v:v + 5], k)
-        xt, kt = Tensor(x), Tensor(k)
-        npt.assert_allclose(conv3d(xt, kt, padding=padding).data, want, rtol=0, atol=1e-12)
-        w = Tensor(rng.standard_normal(want.shape))
-        assert fd_check(lambda: reduce_sum(conv3d(xt, kt, padding=padding) * w),
-                        [xt, kt]) < 1e-5
+        self.check_against_loops(rng.standard_normal((3, 3, 4, 5, 5)),
+                                 rng.standard_normal((2, 3, 3, 5, 5)),
+                                 ((1, 1), (2, 2), (2, 2)), 9)
+        assert plans[0] == spans
+
+    # W padding reaches the output only through the range of columns each
+    # tap adds into: uneven either way, and wide enough that some taps miss
+    # the input entirely. At kw = 1 the GEMM writes straight into the output.
+    EDGE_CASES = {
+        "w_padding_lo_below_hi": ((2, 2, 4, 5, 5), (3, 3, 3, ((1, 1), (1, 1), (0, 2)))),
+        "w_padding_lo_above_hi": ((2, 2, 4, 5, 5), (3, 3, 3, ((1, 1), (1, 1), (2, 0)))),
+        "taps_that_miss_the_input": ((2, 2, 3, 2, 1), (2, 2, 3, ((0, 1), (1, 0), (2, 0)))),
+        "kw_1_direct": ((2, 2, 4, 5, 5), (3, 1, 1, ((1, 1), (0, 0), (0, 0)))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    @pytest.mark.parametrize("budget", [autodiff.TILE_ELEMENTS, 1])
+    def test_padding_edges_forward_and_gradient(self, case, budget, monkeypatch):
+        shape, (kd, kh, kw, padding) = self.EDGE_CASES[case]
+        monkeypatch.setattr(autodiff, "TILE_ELEMENTS", budget)
+        monkeypatch.setattr(autodiff, "TILE_ROWS", 1)
+        rng = np.random.default_rng(10)
+        self.check_against_loops(rng.standard_normal(shape),
+                                 rng.standard_normal((3, shape[1], kd, kh, kw)), padding, 11)
 
     @pytest.mark.parametrize("padding", [3, -1, ((0, 0), (0, 0), (0, 3))])
     def test_padding_outside_zero_to_k_minus_one_rejected(self, padding):
@@ -236,19 +271,29 @@ class TestConv3d:
             conv3d(Tensor(np.ones((1, 1, 4, 4, 4))), Tensor(np.ones((1, 1, 3, 3, 3))),
                    padding=padding)
 
-    def test_memory_stays_near_the_activations(self):
-        """Forward and backward at the last dense block of a patch-11
-        classifier (69 -> 30 channels, kernel 3x7x7) allocate no im2col
-        matrix: the traced peak stays below 8 times input + output + kernel."""
+    # the last dense block of the classifier (69 -> 30 channels) at patches
+    # 3, 5 and 11, with its kernel and same padding
+    LAST_BLOCKS = {
+        "patch3": (3, (3, 3, 3), ((1, 1), (1, 1), (1, 1))),
+        "patch5": (5, (3, 5, 5), ((1, 1), (2, 2), (2, 2))),
+        "patch11": (11, (3, 7, 7), ((1, 1), (3, 3), (3, 3))),
+    }
+
+    @pytest.mark.parametrize("block", sorted(LAST_BLOCKS))
+    def test_memory_stays_near_the_activations(self, block):
+        """Forward and backward at the classifier's last dense block allocate
+        no im2col matrix: the traced peak stays below 8 times input + output
+        + kernel."""
         import tracemalloc
 
+        patch, kernel, padding = self.LAST_BLOCKS[block]
         rng = np.random.default_rng(7)
-        x = Tensor(rng.standard_normal((2, 69, 6, 11, 11)), requires_grad=True)
-        k = Tensor(rng.standard_normal((30, 69, 3, 7, 7)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 69, 6, patch, patch)), requires_grad=True)
+        k = Tensor(rng.standard_normal((30, 69) + kernel), requires_grad=True)
         tracemalloc.start()
         try:
             with fresh_tape():
-                out = conv3d(x, k, padding=((1, 1), (3, 3), (3, 3)))
+                out = conv3d(x, k, padding=padding)
                 reduce_sum(out * out).backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:

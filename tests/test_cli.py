@@ -527,6 +527,17 @@ class TestUnusablePaths:
         }[case]
         assert str(bad) in assert_usage_error(capsys, argv)
 
+    def test_an_unwritable_report_prints_no_result(self, scene, tmp_path, capsys):
+        """The OA line comes only after the report is written."""
+        truth = str(scene / "data/source.hsil")
+        capsys.readouterr()
+        assert main(["evaluate", "--truth", truth, "--pred", truth,
+                     "--report", str(tmp_path)]) == 2
+        printed = capsys.readouterr()
+        err = printed.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "OA" not in printed.out
+
 
 class TestGradcheckCommand:
     def test_single_seed_sweep_passes(self, capsys):
