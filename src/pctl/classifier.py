@@ -107,69 +107,77 @@ def classification_loss(logits: Tensor, labels: Tensor) -> Tensor:
     return softmax_cross_entropy(logits, labels)
 
 
-def mirror_pad_map(values: np.ndarray, margin: int) -> np.ndarray:
-    """Reflect an [H, W, C] map outward so patch windows never leave the data."""
-    if margin == 0:
-        return values
-    return np.pad(values, ((margin, margin), (margin, margin), (0, 0)),
-                  mode="symmetric")
+# patches per classifier call when predicting, and windows per batch when
+# marking the pixels they read
+PREDICT_BATCH = 256
 
 
-def extract_patches(values: np.ndarray, centers, patch_size: int) -> np.ndarray:
-    """Gather [n, P, P, C] windows around (row, col) centers of an [H, W, C] map.
+def _fold(index: np.ndarray, size: int) -> np.ndarray:
+    """Fold offsets outside [0, size) back in, each border pixel repeated:
+    the index that ``np.pad(mode="symmetric")`` copies, at any margin."""
+    index = index % (2 * size)
+    return np.where(index < size, index, 2 * size - 1 - index)
 
-    Borders are handled by mirror padding, so any in-image center is valid.
+
+def window_index(height: int, width: int, centers, patch_size: int) -> np.ndarray:
+    """[n, P, P] raster indices of the P x P windows around (row, col) centers
+    of an H x W map.
+
+    Borders mirror, so any in-image center is valid, even for windows wider
+    than the map.
     """
     centers = np.asarray(centers, dtype=int)
     if centers.size == 0:
         raise ContractError("no patch centers given")
     if centers.ndim != 2 or centers.shape[1] != 2:
         raise ContractError("centers must be (row, col) pairs")
-    h, w, _ = values.shape
-    if np.any(centers < 0) or np.any(centers[:, 0] >= h) or np.any(centers[:, 1] >= w):
+    if np.any(centers < 0) or np.any(centers >= (height, width)):
         raise ContractError("patch centers must lie inside the image")
-    margin = patch_size // 2
-    padded = mirror_pad_map(values, margin)
-    rows = centers[:, 0][:, None] + np.arange(patch_size)[None, :]
-    cols = centers[:, 1][:, None] + np.arange(patch_size)[None, :]
-    return padded[rows[:, :, None], cols[:, None, :], :]
+    offsets = np.arange(patch_size) - patch_size // 2
+    rows = _fold(centers[:, :1] + offsets, height)
+    cols = _fold(centers[:, 1:] + offsets, width)
+    return rows[:, :, None] * width + cols[:, None, :]
+
+
+def extract_patches(values: np.ndarray, centers, patch_size: int) -> np.ndarray:
+    """Gather [n, P, P, C] windows around (row, col) centers of an [H, W, C] map."""
+    h, w, c = values.shape
+    return values.reshape(h * w, c)[window_index(h, w, centers, patch_size)]
 
 
 def window_pixels(height: int, width: int, centers, patch_size: int) -> np.ndarray:
     """[H, W] mask of the pixels that ``extract_patches`` reads for these centers.
 
-    Mirror padding only repeats pixels that lie inside a window, so the
-    window of center (r, c) reads exactly the box [r - m, r + m] x
-    [c - m, c + m] of the image, m = P // 2. Each box adds one at its corner
-    and takes one off past its far edges in a difference array; the two
-    cumulative sums of that array count the boxes over each pixel.
+    The windows are marked PREDICT_BATCH at a time, so only one batch of
+    their indices is held at once.
     """
-    m = patch_size // 2
-    rows, cols = np.asarray(centers, dtype=np.int64).reshape(-1, 2).T
-    top, bottom = np.clip(rows - m, 0, height), np.clip(rows + m + 1, 0, height)
-    left, right = np.clip(cols - m, 0, width), np.clip(cols + m + 1, 0, width)
-    diff = np.zeros((height + 1, width + 1), dtype=np.int64)
-    for r, c, sign in ((top, left, 1), (top, right, -1), (bottom, left, -1), (bottom, right, 1)):
-        np.add.at(diff, (r, c), sign)
-    return diff.cumsum(axis=0).cumsum(axis=1)[:height, :width] > 0
+    centers = np.asarray(centers, dtype=int)
+    mask = np.zeros(height * width, dtype=bool)
+    for start in range(0, len(centers), PREDICT_BATCH):
+        mask[window_index(height, width, centers[start:start + PREDICT_BATCH],
+                          patch_size)] = True
+    return mask.reshape(height, width)
+
+
+def _volumes(windows: Tensor) -> Tensor:
+    """[n, P, P, c] abundance windows as [n, 1, c, P, P] volumes, so the conv
+    depth axis runs along the abundance index."""
+    n, p, _, c = windows.shape
+    return ad.reshape(ad.transpose(windows, (0, 3, 1, 2)), (n, 1, c, p, p))
 
 
 def encode_patches(encoder: Encoder, pixel_patches: np.ndarray) -> Tensor:
     """Push raw pixel patches through the shared encoder, pixel by pixel.
 
     ``pixel_patches`` is [n, P, P, L]; the result stacks the abundances as
-    [n, 1, c, P, P] so the conv depth axis runs along the abundance index.
-    Gradients flow back into the encoder through every pixel of every patch.
-    The trainer uses that path only for the classifier-only ablation. With
-    the reconstruction branch on, it calls this under ``no_grad``, so the
-    unmixing terms alone train the encoder.
+    [n, 1, c, P, P]. Gradients flow back into the encoder through every
+    pixel of every patch. The trainer uses that path only for the
+    classifier-only ablation. With the reconstruction branch on, it calls
+    this under ``no_grad``, so the unmixing terms alone train the encoder.
     """
     n, p, _, bands = pixel_patches.shape
-    flat = Tensor(pixel_patches.reshape(n * p * p, bands))
-    abund = encoder.encode(flat).values
-    c = abund.shape[1]
-    grid = ad.reshape(abund, (n, p, p, c))
-    return ad.reshape(ad.transpose(grid, (0, 3, 1, 2)), (n, 1, c, p, p))
+    abund = encoder.encode(Tensor(pixel_patches.reshape(n * p * p, bands))).values
+    return _volumes(ad.reshape(abund, (n, p, p, abund.shape[1])))
 
 
 def abundance_patches_from_map(abundance_map: np.ndarray, centers,
@@ -179,5 +187,4 @@ def abundance_patches_from_map(abundance_map: np.ndarray, centers,
     Inference-only shortcut: encoding is pixel-wise, so encoding the cube once
     and slicing windows matches encoding each patch's pixels individually.
     """
-    windows = extract_patches(abundance_map, centers, patch_size)  # [n,P,P,c]
-    return Tensor(np.ascontiguousarray(windows.transpose(0, 3, 1, 2))[:, None])
+    return _volumes(Tensor(extract_patches(abundance_map, centers, patch_size)))

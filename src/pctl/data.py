@@ -73,9 +73,6 @@ class HsiCube:
             return 0
         return int(self.labels.max())
 
-    def without_labels(self) -> "HsiCube":
-        return HsiCube(self.reflectance.copy())
-
 
 # -- binary formats ----------------------------------------------------------
 

@@ -119,9 +119,6 @@ class Encoder:
                                   standard=self.cfg.stick_transform == "standard")
         return stick_breaking(v)
 
-    def __call__(self, x: Tensor) -> SimplexBatch:
-        return self.encode(x)
-
     def parameters(self):
         out = []
         for i, layer in enumerate(self.hidden):
@@ -130,15 +127,14 @@ class Encoder:
         return out + [("beta_raw", self.beta_raw)]
 
 
-def normalized_entropy(a) -> Tensor:
+def normalized_entropy(a: Tensor) -> Tensor:
     """Scale-free entropy of nonnegative rows, averaged over the batch.
 
     Each row is normalized by its l1 norm, then scored with Shannon entropy;
     0*log(0) is defined as 0 via an epsilon-clamped log. Sparser rows score
     strictly lower even when their l1 norms are equal.
     """
-    values = a.values if isinstance(a, SimplexBatch) else a
-    mag = ad.absolute(values)
+    mag = ad.absolute(a)
     q = mag / ad.reduce_sum(mag, axis=1, keepdims=True)
     log_q = ad.log(ad.clamp(q, ENTROPY_EPS, np.inf))
     return ad.reduce_mean(ad.reduce_sum(q * log_q * -1.0, axis=1))
@@ -146,4 +142,4 @@ def normalized_entropy(a) -> Tensor:
 
 def sparse_loss(a_source: SimplexBatch, a_target: SimplexBatch) -> Tensor:
     """Summed normalized entropy of the two domains' abundance batches."""
-    return normalized_entropy(a_source) + normalized_entropy(a_target)
+    return normalized_entropy(a_source.values) + normalized_entropy(a_target.values)

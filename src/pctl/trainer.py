@@ -23,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, fresh_tape, no_grad
 from .classifier import (
+    PREDICT_BATCH,
     Classifier3d,
     abundance_patches_from_map,
     classification_loss,
@@ -56,10 +57,8 @@ from .rng import StreamSet
 
 CHECKPOINT_MAGIC = b"PCTL"
 CHECKPOINT_VERSION = 1
-# pixels encoded per call when mapping a whole cube, and patches per
-# classifier call when predicting
+# pixels encoded per call when mapping a whole cube
 ENCODE_CHUNK = 4096
-PREDICT_BATCH = 256
 # Model switches that are gone, each with the record value of the one network
 # that is kept and the names of its record values. Older checkpoints may still
 # store them; only the kept value loads.

@@ -5,6 +5,7 @@ import pytest
 from pctl import autodiff as ad
 from pctl.autodiff import Tensor, fresh_tape, no_grad
 from pctl.classifier import (
+    PREDICT_BATCH,
     Classifier3d,
     abundance_patches_from_map,
     classification_loss,
@@ -107,6 +108,18 @@ class TestLogits:
         assert fd_check(loss, params) < 1e-4
 
 
+# (height, width, patch size): maps 1-8 px a side, patches 1-23
+MAP_SWEEP = [(h, w, p) for h in range(1, 9) for w in range(1, 9) for p in range(1, 24, 2)]
+
+
+def mirrored_windows(values, centers, p):
+    """Reference gather: slice each window out of an np.pad(mode="symmetric")
+    copy of the [H, W, C] map."""
+    m = p // 2
+    padded = np.pad(values, ((m, m), (m, m), (0, 0)), mode="symmetric")
+    return np.stack([padded[r:r + p, c:c + p] for r, c in centers])
+
+
 class TestPatchExtraction:
     def test_single_pixel_patch(self):
         rng = np.random.default_rng(9)
@@ -135,32 +148,46 @@ class TestPatchExtraction:
         with pytest.raises(ContractError):
             extract_patches(np.zeros((4, 4, 2)), [(4, 0)], patch_size=3)
 
+    def test_extract_patches_match_a_symmetric_pad(self):
+        # every center of every map up to 8 px a side, so every border, and
+        # windows up to three times wider than the map
+        rng = np.random.default_rng(31)
+        for h, w, p in MAP_SWEEP:
+            values = rng.standard_normal((h, w, 2))
+            centers = np.argwhere(np.ones((h, w), dtype=bool))
+            npt.assert_array_equal(extract_patches(values, centers, p),
+                                   mirrored_windows(values, centers, p), err_msg=(h, w, p))
+
     @pytest.mark.parametrize("patch_size", [1, 3, 5, 9])
     def test_window_pixels_are_what_the_windows_read(self, patch_size):
         centers = [(0, 0), (2, 5), (3, 1)]
-        index = np.arange(4 * 6, dtype=float).reshape(4, 6, 1)
-        read = np.unique(extract_patches(index, centers, patch_size))
+        read = mirrored_windows(np.arange(4 * 6).reshape(4, 6, 1), centers, patch_size)
         mask = window_pixels(4, 6, centers, patch_size)
-        npt.assert_array_equal(np.flatnonzero(mask), read)
+        npt.assert_array_equal(np.flatnonzero(mask), np.unique(read))
         assert not window_pixels(4, 6, np.zeros((0, 2), dtype=int), patch_size).any()
 
     def test_window_pixels_match_the_windows_on_maps_smaller_than_a_window(self):
-        # mirror padding wider than the map reflects more than once
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            h, w = rng.integers(1, 9, 2)
-            p = 2 * int(rng.integers(0, 12)) + 1
-            centers = np.stack([rng.integers(0, h, 5), rng.integers(0, w, 5)], axis=1)
-            centers = centers[:rng.integers(1, 6)]
-            index = np.arange(h * w, dtype=float).reshape(h, w, 1)
-            read = np.unique(extract_patches(index, centers, p))
-            npt.assert_array_equal(np.flatnonzero(window_pixels(h, w, centers, p)), read)
+        # each center alone, then all of them, on every map of the sweep
+        for h, w, p in MAP_SWEEP:
+            centers = np.argwhere(np.ones((h, w), dtype=bool))
+            read = mirrored_windows(np.arange(h * w).reshape(h, w, 1), centers, p)
+            for center, window in zip(centers, read):
+                npt.assert_array_equal(np.flatnonzero(window_pixels(h, w, [center], p)),
+                                       np.unique(window), err_msg=(h, w, p, center))
+            npt.assert_array_equal(np.flatnonzero(window_pixels(h, w, centers, p)),
+                                   np.unique(read), err_msg=(h, w, p))
+
+    def test_window_pixels_mark_every_batch(self):
+        # at patch 1 the mask is the centers, so a batch left out shows
+        centers = np.argwhere(np.random.default_rng(32).random((40, 30)) < 0.5)
+        assert len(centers) > 2 * PREDICT_BATCH
+        mask = window_pixels(40, 30, centers, 1)
+        npt.assert_array_equal(np.argwhere(mask), centers)
 
     def test_window_pixels_hold_one_batch_of_windows(self):
         """Every pixel of a 64x64 cube as a center at patch 11: the traced
-        peak stays below an index map, its padding and three batches of 256
-        index windows, far below the 4 MB that all 4096 windows take at
-        once."""
+        peak stays below three batches of 256 index windows, far below the
+        4 MB that all 4096 windows take at once."""
         import tracemalloc
 
         h, w, p, batch = 64, 64, 11, 256
@@ -172,7 +199,7 @@ class TestPatchExtraction:
         finally:
             tracemalloc.stop()
         assert mask.all()
-        bound = 8 * (2 * (h + p) * (w + p) + 3 * batch * p * p)
+        bound = 8 * 3 * batch * p * p
         assert peak < bound, (peak, bound)
 
     def test_mirror_border(self):

@@ -474,7 +474,7 @@ class TestAblateCommand:
 
     def test_unlabeled_target_exits_2(self, scene, tmp_path, capsys):
         target = tmp_path / "unlabeled.hsic"
-        write_cube(read_cube(scene / "data/target.hsic").without_labels(), target)
+        write_cube(HsiCube(read_cube(scene / "data/target.hsic").reflectance), target)
         out = tmp_path / "ablate"
         assert_usage_error(capsys, ["ablate", "--source", str(scene / "data/source.hsic"),
                                     "--target", str(target), "--out", str(out)]

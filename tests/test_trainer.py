@@ -116,7 +116,7 @@ class TestConfigs:
         built = tiny_train()
         state = ModelState(tiny_model(bands=12), built, seed=3)
         with pytest.raises(ContractError):
-            train(state, source.without_labels(), target, tiny_train(epochs=1))
+            train(state, HsiCube(source.reflectance), target, tiny_train(epochs=1))
         with pytest.raises(DataMismatchError):
             train(state, source, target, tiny_train(epochs=1))
         assert state.train_cfg is built
@@ -213,7 +213,7 @@ class TestTraining:
         source, target, _ = tiny_scene()
         cfg = tiny_train(epochs=3)
         paths = []
-        for idx, tgt in enumerate((target, target.without_labels())):
+        for idx, tgt in enumerate((target, HsiCube(target.reflectance))):
             state = ModelState(tiny_model(), cfg, seed=cfg.seed)
             train(state, source, tgt, cfg)
             path = tmp_path / f"run{idx}.pctl"
@@ -273,7 +273,7 @@ class TestTraining:
         source, target, _ = tiny_scene()
         cfg = tiny_train(epochs=2)
         state = ModelState(tiny_model(), cfg, seed=11)
-        rows = train(state, source, target.without_labels(), cfg)
+        rows = train(state, source, HsiCube(target.reflectance), cfg)
         assert "source_oa" in rows[-1] and "source_cm" in rows[-1]
         assert "target_oa" not in rows[-1] and "target_cm" not in rows[-1]
 
@@ -520,7 +520,7 @@ class TestAblation:
 
         monkeypatch.setattr(pctl.trainer, "train", no_training)
         with pytest.raises(ContractError, match="target"):
-            run_ablation(tiny_model(), tiny_train(), source, target.without_labels())
+            run_ablation(tiny_model(), tiny_train(), source, HsiCube(target.reflectance))
         with pytest.raises(ConfigError, match="epochs"):
             run_ablation(tiny_model(), tiny_train(epochs=0), source, target)
         with pytest.raises(ConfigError, match="nonsense"):
