@@ -114,7 +114,7 @@ PREDICT_BATCH = 256
 
 def _fold(index: np.ndarray, size: int) -> np.ndarray:
     """Fold offsets outside [0, size) back in, each border pixel repeated:
-    the index that ``np.pad(mode="symmetric")`` copies, at any margin."""
+    the index that numpy's symmetric padding copies, at any margin."""
     index = index % (2 * size)
     return np.where(index < size, index, 2 * size - 1 - index)
 
