@@ -413,7 +413,7 @@ def cumprod(a: Tensor) -> Tensor:
 
 # -- 3-D convolution ----------------------------------------------------------
 
-# a conv3d column tile: TILE_ELEMENTS float64 values (512 KiB), or TILE_ROWS rows if more
+# a conv3d column tile: whole samples, TILE_ELEMENTS values (512 KiB) or TILE_ROWS rows if more
 TILE_ELEMENTS = 1 << 16
 TILE_ROWS = 128
 
@@ -430,101 +430,102 @@ def _pad_spec(padding):
     return spec
 
 
-def _pad(a, pads):
-    """Zero-pad the spatial axes of a channels-last [N, D, H, W, C] array by
-    (lo, hi) each, into a new contiguous buffer."""
-    (dl, dh), (hl, hh), (wl, wh) = pads
+def _pad(a, lo, hi):
+    """Zero-pad the W axis of a channels-last [N, D, H, W, C] array by lo and
+    hi, into a new contiguous buffer."""
     n, d, h, w, c = a.shape
-    out = np.zeros((n, d + dl + dh, h + hl + hh, w + wl + wh, c))
-    out[:, dl:dl + d, hl:hl + h, wl:wl + w] = a
+    out = np.zeros((n, d, h, w + lo + hi, c))
+    out[:, :, :, lo:lo + w] = a
     return out
 
 
-def _tiling(n, planes, plane, rows):
-    """The (first sample, end sample, first plane, end plane) of each tile
-    over ``n`` samples of ``planes`` output depth planes, a plane being
-    ``rows`` tile rows of ``plane`` values. A tile is as many whole samples as
-    fit TILE_ELEMENTS values or TILE_ROWS rows, whichever is more (a GEMM
-    packs its kernel once for all rows), or else an even run of one sample's
-    planes, the first the longest, of one plane at the least."""
-    fit = max(1, TILE_ELEMENTS // plane, -(-TILE_ROWS // rows))
-    if fit >= planes:
-        step = min(n, fit // planes)
-        return [(n0, min(n0 + step, n), 0, planes) for n0 in range(0, n, step)]
-    step = -(-planes // -(-planes // fit))
-    return [(s, s + 1, d0, min(d0 + step, planes))
-            for s in range(n) for d0 in range(0, planes, step)]
+def _runs(n_out, lo, n_in, k):
+    """The (first output, end output, first tap, end tap) of each run of the
+    outputs 0..n_out-1 along one axis that read the same in-range taps, tap t
+    of output o reading input o + t - lo."""
+    taps = [(max(0, lo - o), min(k, n_in + lo - o)) for o in range(n_out)]
+    starts = [o for o in range(n_out) if o == 0 or taps[o] != taps[o - 1]] + [n_out]
+    return [(o0, o1, *taps[o0]) for o0, o1 in zip(starts, starts[1:])]
 
 
-def _tiles(xl, planes, kd, kh):
-    """Yield (index, tile) over a D/H-padded channels-last input ``xl``.
-    ``tile`` [rows, kd*kh*c] has a row per input column (n, od, oh, iw), the
-    padded input at (od+i, oh+j, iw), copied out of a strided view of ``xl``
-    into storage shared by the tiles of one call. ``index`` selects its
-    samples and planes of [N, Do, ...]."""
-    n, _, hp, w, c = xl.shape
+def _tiles(xl, lows, out_dims, kd, kh):
+    """Yield (index, taps, tile) over a channels-last input ``xl`` [N, D, H,
+    W, c] padded by ``lows`` before D and H. For each run of output planes and
+    rows that read the same in-range D and H taps (``_runs``), a tile [rows,
+    taps*c] has a row per input column (n, od, oh, iw) holding those taps
+    only, copied out of a strided view of ``xl`` into storage shared by the
+    tiles of one call. ``index`` selects the tile's samples, planes and rows
+    of [N, Do, Ho, ...], ``taps`` its (i, j) taps of [kd, kh, ...]."""
+    n, d, h, w, c = xl.shape
     sn, sd, sh, sw, sc = xl.strides
-    windows = np.ndarray((n, planes, hp - kh + 1, w, kd, kh, c), xl.dtype, xl, 0,
-                         (sn, sd, sh, sw, sd, sh, sc))
-    spans = _tiling(n, planes, windows[0, 0].size, (hp - kh + 1) * w)
-    n0, n1, d0, d1 = spans[0]
-    store = np.empty(windows[n0:n1, d0:d1].size)
-    for n0, n1, d0, d1 in spans:
-        view = windows[n0:n1, d0:d1]
-        tile = store[:view.size].reshape(view.shape)
-        tile[...] = view
-        yield (slice(n0, n1), slice(d0, d1)), tile.reshape(-1, kd * kh * c)
+    plan = []
+    for d0, d1, i0, i1 in _runs(out_dims[0], lows[0], d, kd):
+        for h0, h1, j0, j1 in _runs(out_dims[1], lows[1], h, kh):
+            view = np.ndarray((n, d1 - d0, h1 - h0, w, i1 - i0, j1 - j0, c), xl.dtype, xl,
+                              (d0 + i0 - lows[0]) * sd + (h0 + j0 - lows[1]) * sh,
+                              (sn, sd, sh, sw, sd, sh, sc))
+            rows = (d1 - d0) * (h1 - h0) * w
+            step = min(n, max(TILE_ELEMENTS // view[0].size, -(-TILE_ROWS // rows)))
+            plan.append((view, step, (slice(d0, d1), slice(h0, h1)),
+                         (slice(i0, i1), slice(j0, j1)), (i1 - i0) * (j1 - j0) * c))
+    store = np.empty(max(view[:step].size for view, step, *_ in plan))
+    for view, step, planes, taps, width in plan:
+        for n0 in range(0, n, step):
+            part = view[n0:n0 + step]
+            tile = store[:part.size].reshape(part.shape)
+            tile[...] = part
+            yield (slice(n0, min(n0 + step, n)), *planes), taps, tile.reshape(-1, width)
 
 
 def _kmat(k):
-    """[c_out, c_in, kd, kh, kw] kernels as a [kd*kh*c_in, kw*c_out] matrix."""
+    """[c_out, c_in, kd, kh, kw] kernels as a [kd, kh, c_in, kw*c_out] array."""
     co, ci, kd, kh, kw = k.shape
-    return k.transpose(2, 3, 1, 4, 0).reshape(kd * kh * ci, kw * co)
+    return k.transpose(2, 3, 1, 4, 0).reshape(kd, kh, ci, kw * co)
 
 
-def _correlate(xl, kmat, ksize, wl, out):
-    """out [N, Do, Ho, Wo, c_out] = the correlation of the D/H-padded
-    channels-last ``xl`` with ``kmat`` (laid out by ``_kmat``), input column
-    0 sitting at output column ``wl``. One GEMM per tile gives every W tap's
-    product with every input column, and kw shifted adds place them. At
-    kw = 1 the GEMM writes straight into ``out``."""
-    kd, kh, kw = ksize
+def _correlate(xl, kmat, lows, out):
+    """out [N, Do, Ho, Wo, c_out] = the correlation of the channels-last
+    ``xl`` with ``kmat`` (laid out by ``_kmat``), padded by ``lows`` before D
+    and H, input column 0 sitting at output column lows[2]. One GEMM per tile
+    with the kernel rows of its taps gives every W tap's product with every
+    input column, and kw shifted adds place them."""
+    wl, kw = lows[2], kmat.shape[3] // out.shape[4]
     w, (wo, co) = xl.shape[3], out.shape[3:]
-    y = None
-    for index, tile in _tiles(xl, out.shape[1], kd, kh):
+    run = None
+    for index, taps, tile in _tiles(xl, lows, out.shape[1:3], *kmat.shape[:2]):
+        if taps != run:  # the kernel rows of a new run's taps
+            run, k = taps, kmat[taps].reshape(len(tile[0]), -1)
         o = out[index]
-        if kw == 1:
-            np.matmul(tile, kmat, out=o.reshape(-1, co))
-            continue
-        y = np.empty((len(tile), kw * co)) if y is None else y
-        taps = np.matmul(tile, kmat, out=y[:len(tile)]).reshape(*o.shape[:3], w, kw, co)
+        y = (tile @ k).reshape(*o.shape[:3], w, kw, co)
         o[..., :wl, :] = 0
         for l in range(kw):  # tap l adds input column iw into output column iw + wl - l
             o0, i0 = max(0, wl - l), max(0, l - wl)
             m = max(0, min(wo - o0, w - i0))
             if l:
-                o[..., o0:o0 + m, :] += taps[..., i0:i0 + m, l, :]
+                o[..., o0:o0 + m, :] += y[..., i0:i0 + m, l, :]
             else:
-                o[..., o0:o0 + m, :] = taps[..., :m, 0, :]
+                o[..., o0:o0 + m, :] = y[..., :m, 0, :]
 
 
 def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
     """Cross-correlation over the three trailing axes, at stride 1.
 
     ``x`` is [batch, c_in, D, H, W] and ``kernels`` is [c_out, c_in, kd, kh,
-    kw]. The input is padded along D and H only, once, channels-last. Column
-    tiles (``_tiling``) hold a row of kd*kh*c_in values per input column:
-    im2col over depth and height. One GEMM of a tile with the [kd*kh*c_in,
-    kw*c_out] kernel computes all kw width taps, and kw shifted adds place
-    them in the output: kn2row over width (Anderson et al., arXiv:1709.03395).
-    W padding is only the range of output columns each tap reaches. No
-    im2col matrix is built, so memory stays a few times the operands.
+    kw]. No padded copy of the input is made. The output planes and rows
+    split into runs that read the same in-range D and H taps, and the column
+    tiles of a run (``_tiles``) hold only those taps per input column: im2col
+    over depth and height that skips the zero padding. One GEMM of a tile
+    with the run's rows of the [kd*kh*c_in, kw*c_out] kernel computes all kw
+    width taps, and kw shifted adds place them in the output: kn2row over
+    width (Anderson et al., arXiv:1709.03395). W padding is only the range
+    of output columns each tap reaches. No im2col matrix is built, so memory
+    stays a few times the operands.
 
-    The backward pass keeps only the padded buffer. The kernel gradient is
-    tile.T @ dY over the same tiles, dY being g shifted into the kw tap
-    columns; at kw = 1, dY is g. The input gradient is the same forward, run
-    on g with the flipped, channel-swapped kernel, the mirrored D/H padding
-    (k-1-lo, k-1-hi) and the W offset kw-1-lo. A padding outside 0..k-1
+    The backward pass keeps the channels-last input. The kernel gradient
+    adds tile.T @ dY into the run's taps over the same tiles, dY being g
+    shifted into the kw tap columns. The input gradient is the same forward,
+    run on g with the flipped, channel-swapped kernel, the mirrored padding
+    k-1-lo before D and H and the W offset kw-1-lo. A padding outside 0..k-1
     raises DimensionError.
     """
     xd = x.data
@@ -548,25 +549,24 @@ def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
     if any(p < k for p, k in zip(padded, ksize)):
         raise DimensionError(f"conv3d: kernel {ksize} larger than padded input {tuple(padded)}")
     out_dims = tuple(p - k + 1 for p, k in zip(padded, ksize))
-    wl, wh = pads[2]
-    xl = _pad(xd.transpose(0, 2, 3, 4, 1), pads[:2] + [(0, 0)])
+    lows = [lo for lo, _ in pads]
+    xl = np.ascontiguousarray(xd.transpose(0, 2, 3, 4, 1))
     out = np.empty((N, *out_dims, Co))
-    _correlate(xl, _kmat(kd_), ksize, wl, out)
+    _correlate(xl, _kmat(kd_), lows, out)
 
     def bwd(g):
-        g_cl = g.transpose(0, 2, 3, 4, 1)
-        # dY[n, od, oh, iw, l] = g[n, od, oh, iw + wl - l], zero outside g
-        gw = _pad(g_cl, [(0, 0), (0, 0), (kw - 1 - wl, kw - 1 - wh)])
+        # dY[n, od, oh, iw, l] = g[n, od, oh, iw + lo - l], zero outside g
+        g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))
+        gw = _pad(g_cl, *(kw - 1 - p for p in pads[2]))
         sn, sd, sh, sw, sc = gw.strides
         dy = np.ndarray((N, *out_dims[:2], W, kw, Co), gw.dtype, gw, sw * (kw - 1),
                         (sn, sd, sh, sw, -sw, sc))
-        dk = np.zeros((kd * kh * Ci, kw * Co))
-        for index, tile in _tiles(xl, out_dims[0], kd, kh):
-            dk += tile.T @ dy[index].reshape(len(tile), -1)
-        mirrored = [(k - 1 - lo, k - 1 - hi) for k, (lo, hi) in zip(ksize, pads[:2])]
+        dk = np.zeros((kd, kh, Ci, kw * Co))
+        for index, taps, tile in _tiles(xl, lows, out_dims, kd, kh):
+            dk[taps] += (tile.T @ dy[index].reshape(len(tile), -1)).reshape(dk[taps].shape)
         flipped = kd_.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
         dx = np.empty((N, D, H, W, Ci))
-        _correlate(_pad(g_cl, mirrored + [(0, 0)]), _kmat(flipped), ksize, kw - 1 - wl, dx)
+        _correlate(g_cl, _kmat(flipped), [k - 1 - lo for k, lo in zip(ksize, lows)], dx)
         return (np.ascontiguousarray(dx.transpose(0, 4, 1, 2, 3)),
                 np.ascontiguousarray(dk.reshape(kd, kh, Ci, kw, Co).transpose(4, 2, 0, 1, 3)))
 

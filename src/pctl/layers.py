@@ -75,19 +75,19 @@ class BatchNorm3d:
         if x.data.ndim != 5 or x.shape[1] != self.channels:
             raise DimensionError(
                 f"batchnorm expects [N, {self.channels}, D, H, W], got {x.shape}")
-        axes = (0, 2, 3, 4)
         cshape = (1, self.channels, 1, 1, 1)
-        if train:
-            mu = x.mean(axis=axes, keepdims=True)
-            var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
-            xhat = (x - mu) / ad.power(var + BN_EPSILON, 0.5)
-            m = BN_MOMENTUM
-            self.running_mean = m * self.running_mean + (1 - m) * mu.data.reshape(-1)
-            self.running_var = m * self.running_var + (1 - m) * var.data.reshape(-1)
-        else:
-            mu = Tensor(self.running_mean.reshape(cshape))
-            sd = Tensor(np.sqrt(self.running_var + BN_EPSILON).reshape(cshape))
-            xhat = (x - mu) / sd
+        if not train:
+            # the running moments fold into one per-channel scale and shift
+            scale = self.gamma / Tensor(np.sqrt(self.running_var + BN_EPSILON))
+            shift = self.beta - Tensor(self.running_mean) * scale
+            return x * ad.reshape(scale, cshape) + ad.reshape(shift, cshape)
+        axes = (0, 2, 3, 4)
+        mu = x.mean(axis=axes, keepdims=True)
+        var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
+        xhat = (x - mu) / ad.power(var + BN_EPSILON, 0.5)
+        m = BN_MOMENTUM
+        self.running_mean = m * self.running_mean + (1 - m) * mu.data.reshape(-1)
+        self.running_var = m * self.running_var + (1 - m) * var.data.reshape(-1)
         return xhat * ad.reshape(self.gamma, cshape) + ad.reshape(self.beta, cshape)
 
     def parameters(self):

@@ -1,9 +1,11 @@
 import re
 
+# pctl sets the BLAS thread caps from PCTL_THREADS, which numpy reads only
+# when it first loads, so pctl is imported before numpy
+import pctl.trainer  # isort: skip
 import numpy as np
 import pytest
 
-import pctl.trainer
 from pctl.config import TrainConfig
 
 CRITERION_PATTERN = re.compile(r"test_criterion_(\d+[a-z]?)_(\w+)")

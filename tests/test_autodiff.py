@@ -218,32 +218,66 @@ class TestConv3d:
                         [xt, kt]) < 1e-5
 
     # Column-tile budgets (values, rows) for a batch of 3 at kernel 3x5x5 over
-    # a 4x5x5 volume of 3 channels: an output depth plane is 5*5 input columns
-    # (rows) * 3*5*3 values = 1125, and a sample's 4 planes take 4500.
+    # a 4x5x5 volume of 3 channels, and the sample spans of the tiles of one
+    # run (planes, rows). Planes 1:3 with row 2:3 read all 3x5 taps, 2*1*5
+    # input columns (rows) * 3*5*3 values = 450 per sample; plane 0 with row
+    # 0 reads D taps 1:3 and H taps 2:5, 5 rows * 2*3*3 values = 90.
     TILE_PLANS = {
-        "uneven_batch_tiles": (9000, 1, [(0, 2, 0, 4), (2, 3, 0, 4)]),
-        "depth_planes_within_a_sample": (
-            3375, 1, [(s, s + 1, d0, d0 + 2) for s in range(3) for d0 in (0, 2)]),
-        "one_plane_above_budget": (
-            100, 1, [(s, s + 1, d, d + 1) for s in range(3) for d in range(4)]),
-        "rows_above_budget": (100, 150, [(s, s + 1, 0, 4) for s in range(3)]),
+        "uneven_batch_tiles": (900, 1, (1, 3, 2, 3), [(0, 2), (2, 3)]),
+        "one_sample_per_tile_above_budget": (100, 1, (1, 3, 2, 3), [(0, 1), (1, 2), (2, 3)]),
+        "one_plane_and_one_row": (100, 15, (0, 1, 0, 1), [(0, 3)]),
     }
 
     @pytest.mark.parametrize("plan", sorted(TILE_PLANS))
     def test_tiled_forward_and_gradient(self, plan, monkeypatch):
-        """Every way the column tiles can split (over the batch, into runs of
-        depth planes, one plane above the budget, whole samples to reach the
+        """Every way the column tiles of a run can split (uneven batch tiles,
+        one sample per tile above the budget, whole samples to reach the
         fewest rows) gives the nested-loop forward and gradients."""
-        budget, rows, spans = self.TILE_PLANS[plan]
+        budget, rows, (d0, d1, h0, h1), spans = self.TILE_PLANS[plan]
         monkeypatch.setattr(autodiff, "TILE_ELEMENTS", budget)
         monkeypatch.setattr(autodiff, "TILE_ROWS", rows)
-        plans, tiling = [], autodiff._tiling
-        monkeypatch.setattr(autodiff, "_tiling", lambda *a: plans.append(tiling(*a)) or plans[-1])
+        calls, tiles = [], autodiff._tiles
+
+        def recorded(*args):
+            calls.append([])
+            for index, taps, tile in tiles(*args):
+                calls[-1].append((index, taps, tile.shape))
+                yield index, taps, tile
+
+        monkeypatch.setattr(autodiff, "_tiles", recorded)
         rng = np.random.default_rng(8)
         self.check_against_loops(rng.standard_normal((3, 3, 4, 5, 5)),
                                  rng.standard_normal((2, 3, 3, 5, 5)),
                                  ((1, 1), (2, 2), (2, 2)), 9)
-        assert plans[0] == spans
+        run = [(n.start, n.stop, shape) for (n, d, h), _, shape in calls[0]
+               if (d.start, d.stop, h.start, h.stop) == (d0, d1, h0, h1)]
+        assert [(n0, n1) for n0, n1, _ in run] == spans
+        per_sample = (d1 - d0) * (h1 - h0) * 5
+        assert [shape[0] for _, _, shape in run] == [(n1 - n0) * per_sample for n0, n1 in spans]
+
+    def test_tiles_hold_only_the_in_range_taps(self, monkeypatch):
+        """One forward copies N*W*c_in values per in-range (D tap, H tap) of
+        each output plane and row, and none for the zero padding: at kernel
+        3x5x5 on 6x5x5, 0.676 of what a D/H-padded input would give."""
+        n, c, (D, H, W), (kd, kh, kw) = 2, 3, (6, 5, 5), (3, 5, 5)
+        padding = ((1, 1), (2, 2), (2, 2))
+        sizes, tiles = [], autodiff._tiles
+
+        def counted(*args):
+            for item in tiles(*args):
+                sizes.append(item[-1].size)
+                yield item
+
+        monkeypatch.setattr(autodiff, "_tiles", counted)
+        rng = np.random.default_rng(12)
+        with no_grad():
+            conv3d(Tensor(rng.standard_normal((n, c, D, H, W))),
+                   Tensor(rng.standard_normal((4, c, kd, kh, kw))), padding=padding)
+        taps_d = [sum(0 <= od + i - 1 < D for i in range(kd)) for od in range(D)]
+        taps_h = [sum(0 <= oh + j - 2 < H for j in range(kh)) for oh in range(H)]
+        in_range = n * W * c * sum(taps_d) * sum(taps_h)
+        assert sum(sizes) == in_range
+        assert in_range / (n * W * c * D * H * kd * kh) == pytest.approx(0.676, abs=5e-4)
 
     # W padding reaches the output only through the range of columns each
     # tap adds into: uneven either way, and wide enough that some taps miss

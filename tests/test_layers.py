@@ -137,6 +137,17 @@ class TestBatchNorm3d:
             np.sqrt(bn.running_var.reshape(1, 2, 1, 1, 1) + BN_EPSILON)
         npt.assert_allclose(o1, expected, atol=1e-12)
 
+    def test_inference_gradients_reach_gamma_and_beta(self):
+        rng = np.random.default_rng(11)
+        bn = BatchNorm3d(2)
+        bn.gamma.data[:] = [0.5, -2.0]
+        bn.beta.data[:] = [0.3, 1.0]
+        bn.running_mean, bn.running_var = np.array([0.2, -1.0]), np.array([0.5, 3.0])
+        x = Tensor(rng.standard_normal((3, 2, 2, 2, 2)))
+        w = rng.standard_normal((3, 2, 2, 2, 2))
+        assert fd_check(lambda: ad.reduce_sum(bn(x, train=False) * Tensor(w)),
+                        [x, bn.gamma, bn.beta]) < 1e-5
+
     def test_gradients_flow_through_batch_statistics(self):
         rng = np.random.default_rng(9)
         bn = BatchNorm3d(2)

@@ -15,6 +15,15 @@ medians; change_wins counts the pairs in which the change is better (ties
 count for neither side); within_bound says whether the change's median is no
 worse than the parent's by more than the bound in BENCHMARK.json.
 
+Each metric also gets a verdict, the first of these that holds, and the tool
+prints one line per workload and metric at the end:
+- gain: the change wins at least 9 in 10 pairs, and its median is better
+  than the parent's by more than the parent's q3 - q1;
+- unresolved: the change's median is worse, a side's spread is above the
+  bound, and not every change run beats every parent run;
+- worse: the change's median is worse than the bound allows;
+- within_bound: none of the above.
+
 --traced W runs --traced-pairs traced perfbench runs (--trace 1) of workload
 W per side after the pairs, alternating as the pairs do; a failed traced run
 is counted and left out of the medians. --patch11 times
@@ -114,15 +123,31 @@ def summarize(runs: dict, metric: dict) -> dict:
     values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
     stats = {side: quartiles(values[side]) for side in SIDES}
     parent, change = stats["parent"]["median"], stats["change"]["median"]
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
-    worse = (change - parent) / parent if lower else (parent - change) / parent
+
+    def beats(c, p):
+        return c < p if lower else c > p
+
+    wins = sum(beats(c, p) for p, c in zip(values["parent"], values["change"]))
+    gained = parent - change if lower else change - parent
+    worse = -gained / parent
+    spreads = {side: (stats[side]["q3"] - stats[side]["q1"]) / stats[side]["median"]
+               for side in SIDES}
+    if 10 * wins >= 9 * len(values["parent"]) and \
+            gained > stats["parent"]["q3"] - stats["parent"]["q1"]:
+        verdict = "gain"
+    elif worse > 0 and max(spreads.values()) > metric["bound"] and \
+            not all(beats(c, p) for p in values["parent"] for c in values["change"]):
+        verdict = "unresolved"
+    elif worse > metric["bound"]:
+        verdict = "worse"
+    else:
+        verdict = "within_bound"
     return {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "parent": stats["parent"], "change": stats["change"],
-            **{f"{side}_spread": round((stats[side]["q3"] - stats[side]["q1"])
-                                       / stats[side]["median"], 4) for side in SIDES},
+            **{f"{side}_spread": round(spreads[side], 4) for side in SIDES},
             "median_change": round((change - parent) / parent, 4),
             "change_wins": f"{wins}/{len(values['parent'])}",
-            "within_bound": bool(worse <= metric["bound"]),
+            "within_bound": bool(worse <= metric["bound"]), "verdict": verdict,
             "runs": {side: [round(v, 6) for v in values[side]] for side in SIDES}}
 
 
@@ -241,6 +266,10 @@ def main(argv=None) -> int:
             report["patch_11"] = {"what": PATCH11_WHAT, "sides": sides}
 
         args.out.write_text(json.dumps(report, indent=1) + "\n")
+        for w, entry in report["workloads"].items():
+            for name, m in entry.get("metrics", {}).items():
+                print(f"{w} {name}: {m['verdict']} (median {m['median_change']:+.1%}, "
+                      f"change wins {m['change_wins']})")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
