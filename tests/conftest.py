@@ -2,7 +2,7 @@ import re
 
 # pctl sets the BLAS thread caps from PCTL_THREADS, which numpy reads only
 # when it first loads, so pctl is imported before numpy
-import pctl.trainer  # isort: skip
+import pctl.trainer
 import numpy as np
 import pytest
 
