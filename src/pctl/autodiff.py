@@ -469,12 +469,12 @@ def _tiles(xl, lows, out_dims, kd, kh):
             plan.append((view, step, (slice(d0, d1), slice(h0, h1)),
                          (slice(i0, i1), slice(j0, j1)), (i1 - i0) * (j1 - j0) * c))
     store = np.empty(max(view[:step].size for view, step, *_ in plan))
-    for view, step, planes, taps, width in plan:
+    for view, step, dh, taps, width in plan:
         for n0 in range(0, n, step):
             part = view[n0:n0 + step]
             tile = store[:part.size].reshape(part.shape)
             tile[...] = part
-            yield (slice(n0, min(n0 + step, n)), *planes), taps, tile.reshape(-1, width)
+            yield (slice(n0, min(n0 + step, n)), *dh), taps, tile.reshape(-1, width)
 
 
 def _kmat(k):
