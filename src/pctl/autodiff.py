@@ -411,6 +411,60 @@ def cumprod(a: Tensor) -> Tensor:
     return _make("cumprod", out, (a,), bwd)
 
 
+# -- normalization ----------------------------------------------------------
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, moments=None):
+    """Per-channel normalization of ``x`` over every axis but axis 1, as one
+    tape node; returns (output, mean, variance), the per-channel moments it
+    normalized with.
+
+    Without ``moments`` (training) it normalizes with the batch moments:
+    x̂ = (x - mu) / sqrt(var + eps), output x̂·gamma + beta. The closed-form
+    backward keeps only x̂ and per-channel vectors: dx = (gamma/σ)·(g - mean(g)
+    - x̂·mean(g·x̂)), dgamma = Σ g·x̂, dbeta = Σ g (Ioffe and Szegedy,
+    arXiv:1502.03167). With ``moments`` = (mean, var), fixed arrays such as
+    running moments, it is the per-channel scale s = gamma / sqrt(var + eps)
+    and shift beta - mean·s.
+    """
+    xd = x.data
+    cshape = (1, -1) + (1,) * (xd.ndim - 2)
+    axes = (0,) + tuple(range(2, xd.ndim))
+    gam = gamma.data.reshape(cshape)
+    if moments is not None:
+        mean, var = moments
+        root = np.sqrt(var + eps)
+        scale = gamma.data / root
+        out = xd * scale.reshape(cshape)
+        out += (beta.data - mean * scale).reshape(cshape)
+
+        def bwd(g):
+            xhat = (xd - mean.reshape(cshape)) / root.reshape(cshape)
+            return g * scale.reshape(cshape), (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+        return _make("batch_norm", out, (x, gamma, beta), bwd), mean, var
+
+    mu = xd.mean(axis=axes, keepdims=True)
+    xhat = xd - mu
+    var = (xhat * xhat).mean(axis=axes, keepdims=True)
+    sigma = (var + eps) ** 0.5
+    xhat /= sigma
+    out = xhat * gam
+    out += beta.data.reshape(cshape)
+    count = xd.size // xd.shape[1]
+
+    def bwd(g):
+        gsum = g.sum(axis=axes, keepdims=True)
+        gxsum = (g * xhat).sum(axis=axes, keepdims=True)
+        dx = xhat * (gxsum / -count)
+        dx += g
+        dx -= gsum / count
+        dx *= gam / sigma
+        return dx, gxsum.reshape(-1), gsum.reshape(-1)
+
+    return (_make("batch_norm", out, (x, gamma, beta), bwd),
+            mu.reshape(-1), var.reshape(-1))
+
+
 # -- 3-D convolution ----------------------------------------------------------
 
 # a conv3d column tile: whole samples, TILE_ELEMENTS values (512 KiB) or TILE_ROWS rows if more

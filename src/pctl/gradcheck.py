@@ -136,6 +136,19 @@ def _op_checks(seed: int):
     yield ("conv3d", 1e-5,
            lambda: ad.reduce_sum(ad.conv3d(cx, ck, padding=1) * Tensor(wconv)), [cx, ck])
 
+    bx = Tensor(rng.standard_normal((4, 3, 2, 3, 3)))
+    bgamma = Tensor(rng.uniform(0.5, 2.0, 3))
+    bbeta = Tensor(rng.standard_normal(3))
+    moments = (rng.standard_normal(3), rng.uniform(0.2, 3.0, 3))
+    wbn = rng.standard_normal(bx.shape)
+    yield ("batch_norm-train", 1e-5,
+           lambda: ad.reduce_sum(ad.batch_norm(bx, bgamma, bbeta, 1e-5)[0] * Tensor(wbn)),
+           [bx, bgamma, bbeta])
+    yield ("batch_norm-eval", 1e-6,
+           lambda: ad.reduce_sum(ad.batch_norm(bx, bgamma, bbeta, 1e-5, moments)[0]
+                                 * Tensor(wbn)),
+           [bx, bgamma, bbeta])
+
     return
 
 

@@ -61,7 +61,9 @@ class BatchNorm3d:
     """Per-channel normalization over [batch, channels, D, H, W].
 
     Training mode normalizes with batch statistics and updates running
-    moments; inference mode is a pure function of the running moments.
+    moments; inference mode is a pure function of the running moments. Each
+    call is one ``autodiff.batch_norm`` node, whose training backward keeps
+    only the normalized input and per-channel vectors.
     """
 
     def __init__(self, channels: int):
@@ -75,20 +77,13 @@ class BatchNorm3d:
         if x.data.ndim != 5 or x.shape[1] != self.channels:
             raise DimensionError(
                 f"batchnorm expects [N, {self.channels}, D, H, W], got {x.shape}")
-        cshape = (1, self.channels, 1, 1, 1)
-        if not train:
-            # the running moments fold into one per-channel scale and shift
-            scale = self.gamma / Tensor(np.sqrt(self.running_var + BN_EPSILON))
-            shift = self.beta - Tensor(self.running_mean) * scale
-            return x * ad.reshape(scale, cshape) + ad.reshape(shift, cshape)
-        axes = (0, 2, 3, 4)
-        mu = x.mean(axis=axes, keepdims=True)
-        var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
-        xhat = (x - mu) / ad.power(var + BN_EPSILON, 0.5)
-        m = BN_MOMENTUM
-        self.running_mean = m * self.running_mean + (1 - m) * mu.data.reshape(-1)
-        self.running_var = m * self.running_var + (1 - m) * var.data.reshape(-1)
-        return xhat * ad.reshape(self.gamma, cshape) + ad.reshape(self.beta, cshape)
+        running = None if train else (self.running_mean, self.running_var)
+        out, mu, var = ad.batch_norm(x, self.gamma, self.beta, BN_EPSILON, running)
+        if train:
+            m = BN_MOMENTUM
+            self.running_mean = m * self.running_mean + (1 - m) * mu
+            self.running_var = m * self.running_var + (1 - m) * var
+        return out
 
     def parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

@@ -65,18 +65,22 @@ assert cli.main(["train", "--source", str(out / "scene/source.hsic"),
                  "--target", str(out / "scene/target.hsic"), "--out", str(out / "run"),
                  "--set", "train.epochs=1"]) == 0
 trained = time.perf_counter()
+train_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert cli.main(["predict", "--checkpoint", str(out / "run/model.pctl"),
                  "--cube", str(out / "scene/target.hsic"), "--out", str(out / "pred.hsil")]) == 0
 ended = time.perf_counter()
 print(json.dumps({"train_s": round(trained - started, 2),
                   "predict_s": round(ended - trained, 2),
+                  "train_peak_rss_mib": round(train_rss / 1024),
                   "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)}))
 """
 
 PATCH11_WHAT = ("pctl train at the default model.patch_size=11 for train.epochs=1 on a "
                 "gen-synth scene with synth.pixels_per_class=64 (256 pixels per domain), "
                 "then pctl predict on its 256-pixel target cube, through cli.main in one "
-                "process with PCTL_THREADS=1; predict_px_per_s is 256 / predict_s")
+                "process with PCTL_THREADS=1; predict_px_per_s is 256 / predict_s; "
+                "train_peak_rss_mib is the process peak RSS read after train and before "
+                "predict, peak_rss_mib the one read at the end")
 
 
 def checkout(rev: str, dest: Path) -> str:
