@@ -5,6 +5,10 @@ record nodes on the active :class:`Tape` in creation order, which is a
 topological order by construction; ``backward`` replays the tape in reverse,
 visiting each reachable node exactly once and accumulating gradients into
 ``Tensor.grad``. The graph is rebuilt from scratch on every training step.
+
+Most ops are primitives. ``conv3d`` and ``batch_norm`` are each one node with
+a backward rule of their own, which keeps fewer arrays alive than the chain
+of primitives computing the same values would.
 """
 
 from __future__ import annotations
@@ -429,27 +433,25 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, moments=None)
     xd = x.data
     cshape = (1, -1) + (1,) * (xd.ndim - 2)
     axes = (0,) + tuple(range(2, xd.ndim))
-    gam = gamma.data.reshape(cshape)
     if moments is not None:
         mean, var = moments
         root = np.sqrt(var + eps)
         scale = gamma.data / root
-        out = xd * scale.reshape(cshape)
-        out += (beta.data - mean * scale).reshape(cshape)
+        out = xd * scale.reshape(cshape) + (beta.data - mean * scale).reshape(cshape)
 
         def bwd(g):
-            xhat = (xd - mean.reshape(cshape)) / root.reshape(cshape)
-            return g * scale.reshape(cshape), (g * xhat).sum(axis=axes), g.sum(axis=axes)
+            dgamma = (g * (xd - mean.reshape(cshape))).sum(axis=axes) / root
+            return g * scale.reshape(cshape), dgamma, g.sum(axis=axes)
 
         return _make("batch_norm", out, (x, gamma, beta), bwd), mean, var
 
     mu = xd.mean(axis=axes, keepdims=True)
-    xhat = xd - mu
+    xhat = xd - mu  # x - mu, then x̂ once divided in place by sigma
     var = (xhat * xhat).mean(axis=axes, keepdims=True)
     sigma = (var + eps) ** 0.5
     xhat /= sigma
-    out = xhat * gam
-    out += beta.data.reshape(cshape)
+    gam = gamma.data.reshape(cshape)
+    out = xhat * gam + beta.data.reshape(cshape)
     count = xd.size // xd.shape[1]
 
     def bwd(g):
