@@ -423,12 +423,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, moments=None)
     normalized with.
 
     Without ``moments`` (training) it normalizes with the batch moments:
-    x̂ = (x - mu) / sqrt(var + eps), output x̂·gamma + beta. The closed-form
-    backward keeps only x̂ and per-channel vectors: dx = (gamma/σ)·(g - mean(g)
-    - x̂·mean(g·x̂)), dgamma = Σ g·x̂, dbeta = Σ g (Ioffe and Szegedy,
-    arXiv:1502.03167). With ``moments`` = (mean, var), fixed arrays such as
-    running moments, it is the per-channel scale s = gamma / sqrt(var + eps)
-    and shift beta - mean·s.
+    x̂ = (x - mu) / σ with σ = sqrt(var + eps), output x̂·gamma + beta. The
+    closed-form backward keeps only x̂ and per-channel vectors: dx =
+    (gamma/σ)·(g - mean(g) - x̂·mean(g·x̂)), dgamma = Σ g·x̂, dbeta = Σ g
+    (Ioffe and Szegedy, arXiv:1502.03167). With ``moments`` = (mean, var),
+    fixed arrays such as running moments, it is the per-channel scale
+    s = gamma / sqrt(var + eps) and shift beta - mean·s.
     """
     xd = x.data
     cshape = (1, -1) + (1,) * (xd.ndim - 2)

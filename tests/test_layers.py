@@ -164,8 +164,9 @@ class TestBatchNorm3d:
 
 
 def chain_batchnorm(bn, x, train):
-    """BatchNorm3d as it was before ``autodiff.batch_norm``: a chain of
-    elementwise, reduction and reshape ops, 13 tape nodes in training mode."""
+    """The reference for ``autodiff.batch_norm``: BatchNorm3d written as a
+    chain of elementwise, reduction and reshape ops, 13 tape nodes in
+    training mode."""
     cshape = (1, bn.channels, 1, 1, 1)
     if not train:
         scale = bn.gamma / Tensor(np.sqrt(bn.running_var + BN_EPSILON))
