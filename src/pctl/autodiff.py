@@ -131,15 +131,9 @@ class Tensor:
     def backward(self) -> None:
         _active_tape.backward(self)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
         return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
 
     def __sub__(self, other):
         return sub(self, _wrap(other))
@@ -150,32 +144,11 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
     def __truediv__(self, other):
         return div(self, _wrap(other))
 
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes: Sequence[int]):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis, keepdims)
 
     def mean(self, axis=None, keepdims: bool = False):
         return reduce_mean(self, axis, keepdims)

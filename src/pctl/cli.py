@@ -137,10 +137,6 @@ def cmd_train(args) -> int:
     if args.resume:
         # settings start from the checkpoint's; the keys given override them
         state = load_checkpoint(_require_file(args.resume, "checkpoint"))
-        if state.model_cfg.bands != source.bands:
-            raise DataMismatchError(
-                f"checkpoint expects {state.model_cfg.bands} bands, "
-                f"source has {source.bands}")
         cfg.check_model(state.model_cfg)
         train_cfg = cfg.train_config(state.train_cfg)
     else:

@@ -16,7 +16,7 @@ form ``--config`` reads back.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -272,21 +272,17 @@ def record_value(name: str, kind, raw: np.ndarray):
 
 
 def from_records(cls, records: dict):
-    """Rebuild a config from its records; a field without one keeps its default.
+    """Rebuild a config from its ``cfg.<field>`` records, one per field.
 
-    A record of the wrong shape, a choice index that names no choice, and an
-    int field that is not a whole number raise ParseError.
+    A missing record raises KeyError. A record of the wrong shape, a choice
+    index that names no choice, and an int field that is not a whole number
+    raise ParseError.
     """
     hints = get_type_hints(cls)
     values = {}
     for f in fields(cls):
-        raw = records.get(f"cfg.{f.name}")
-        if raw is None:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise KeyError(f"cfg.{f.name}")
-            continue
+        raw = records[f"cfg.{f.name}"]
         kind = _plain(hints[f.name])
-        raw = np.asarray(raw, dtype=np.float64)
         if "choices" in f.metadata:
             choices = f.metadata["choices"]
             index = record_value(f"cfg.{f.name}", int, raw)

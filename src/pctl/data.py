@@ -24,7 +24,6 @@ from .errors import ConfigError, ContractError, ParseError
 
 CUBE_MAGIC = b"HSIC"
 LABEL_MAGIC = b"HSIL"
-CUBE_SUFFIX = ".hsic"
 LABEL_SUFFIX = ".hsil"
 MAX_VOXELS = 2 ** 31
 

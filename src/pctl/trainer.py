@@ -13,6 +13,7 @@ in the metrics log.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import nullcontext
 from dataclasses import replace
@@ -59,12 +60,6 @@ CHECKPOINT_MAGIC = b"PCTL"
 CHECKPOINT_VERSION = 1
 # pixels encoded per call when mapping a whole cube
 ENCODE_CHUNK = 4096
-# Model switches that are gone, each with the record value of the one network
-# that is kept and the names of its record values. Older checkpoints may still
-# store them; only the kept value loads.
-REMOVED_SWITCHES = {"beta_mode": (0, ("learnable", "fixed")),
-                    "beta_shared": (0, ("false", "true")),
-                    "per_band_affine": (1, ("false", "true"))}
 
 
 class ModelState:
@@ -399,18 +394,25 @@ def format_metrics_csv(rows) -> str:
 
 # -- checkpointing -------------------------------------------------------------------
 
-def save_checkpoint(state: ModelState, path) -> None:
-    """magic, version byte, then length-prefixed (name, shape, float64) records."""
+def checkpoint_records(state: ModelState) -> list:
+    """Every (name, array) record of ``state`` in file order: the settings,
+    the step, then each parameter, batchnorm buffer and Adam moment as the
+    state's own array. A checkpoint holds exactly these records."""
     records = config_records(state.model_cfg) + config_records(state.train_cfg)
-    records += [("step", np.float64(state.step))]
+    records += [("step", np.asarray(state.step, dtype=np.float64))]
     records += [(name, t.data) for name, t in state.parameters()]
     records += [(f"buf.{name}", b) for name, b in state.buffers()]
     records += [(f"adam.m.{name}", m) for name, m in sorted(state.adam_m.items())]
     records += [(f"adam.v.{name}", v) for name, v in sorted(state.adam_v.items())]
+    return records
+
+
+def save_checkpoint(state: ModelState, path) -> None:
+    """magic, version byte, then length-prefixed (name, shape, float64) records."""
     with open(Path(path), "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(bytes([CHECKPOINT_VERSION]))
-        for name, data in records:
+        for name, data in checkpoint_records(state):
             arr = np.asarray(data, dtype="<f8")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
@@ -437,60 +439,44 @@ def _read_records(path) -> dict:
             offset += name_len
             (ndim,) = struct.unpack_from("<B", raw, offset)
             offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", raw, offset) if ndim else ()
+            shape = struct.unpack_from(f"<{ndim}I", raw, offset)
             offset += 4 * ndim
-            count = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-            offset += 8 * count
+            count = math.prod(shape)
+            if 8 * count > len(raw) - offset:
+                raise ValueError("the payload runs past the end of the file")
+            records[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape)
         except (struct.error, ValueError) as exc:
             raise ParseError(f"{path}: truncated record at byte offset {offset}") from exc
-        records[name] = data.reshape(shape).astype(np.float64)
+        offset += 8 * count
     return records
 
 
-def _legacy_variant(rec: dict) -> str:
-    """The variant that a checkpoint older than ``TrainConfig.variant`` stores
-    as four switches; a missing switch reads 0, and ``classifier_only`` wins."""
-    on = tuple(name for name in ("classifier_only", "shared_decoder_only", "no_sparse", "no_mi")
-               if record_value(f"cfg.{name}", float, rec.get(f"cfg.{name}", np.float64(0))))
-    rungs = {("shared_decoder_only", "no_sparse", "no_mi"): "shared-decoder",
-             ("no_sparse", "no_mi"): "affine-decoder", ("no_mi",): "sparse", (): "full"}
-    if "classifier_only" in on:
-        return "classifier-only"
-    if on not in rungs:
-        raise ParseError(f"no ablation variant sets exactly the switches {', '.join(on)}")
-    return rungs[on]
-
-
 def load_checkpoint(path) -> ModelState:
-    """Rebuild a ModelState whose forward outputs match the saved one exactly."""
+    """Rebuild a ModelState whose forward outputs match the saved one exactly.
+
+    The file must hold exactly the records ``checkpoint_records`` lists for
+    the state its ``cfg.*`` records describe; any other is a ParseError.
+    """
     rec = _read_records(path)
     try:
-        if "cfg.variant" not in rec:
-            rec["cfg.variant"] = ABLATION_VARIANTS.index(_legacy_variant(rec))
-        for name, (kept, values) in REMOVED_SWITCHES.items():
-            stored = record_value(f"cfg.{name}", float, rec.get(f"cfg.{name}", np.float64(kept)))
-            if stored != kept:
-                value = values[int(stored)] if stored in (0, 1) else stored
-                raise ParseError(f"the checkpoint was trained with model.{name} = {value}, "
-                                 f"which is no longer supported; only {values[kept]} loads")
-        model_cfg = from_records(ModelConfig, rec)
         train_cfg = from_records(TrainConfig, rec)
-        state = ModelState(model_cfg, train_cfg, seed=train_cfg.seed)
+        state = ModelState(from_records(ModelConfig, rec), train_cfg, seed=train_cfg.seed)
         state.step = record_value("step", int, rec["step"])
-        for name, t in state.parameters():
-            t.data = rec[name].reshape(t.data.shape).copy()
-        for name, buf in state.buffers():
-            buf[...] = rec[f"buf.{name}"].reshape(buf.shape)
-        for name in state.adam_m:
-            state.adam_m[name] = rec[f"adam.m.{name}"].reshape(
-                state.adam_m[name].shape).copy()
-            state.adam_v[name] = rec[f"adam.v.{name}"].reshape(
-                state.adam_v[name].shape).copy()
+        records = checkpoint_records(state)
+        names = {name for name, _ in records}
+        for name in rec:
+            if name not in names:
+                raise ParseError(f"checkpoint has record {name}, which this version does "
+                                 f"not write for its settings; retrain the model")
+        # the settings and the step were read above, so their arrays here are
+        # copies that the fill leaves unused
+        for name, array in records:
+            array[...] = rec[name].reshape(array.shape)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except KeyError as exc:
-        raise ParseError(f"{path}: checkpoint is missing record {exc}") from exc
+        raise ParseError(f"{path}: checkpoint is missing record {exc.args[0]}; "
+                         f"retrain the model") from exc
     except (ValueError, IndexError) as exc:
         raise ParseError(f"{path}: a record does not fit the model the "
                          f"checkpoint describes: {exc}") from exc

@@ -1,12 +1,8 @@
 import re
 
 # pctl sets the BLAS thread caps from PCTL_THREADS, which numpy reads only
-# when it first loads, so pctl is imported before numpy
-import pctl.trainer
-import numpy as np
-import pytest
-
-from pctl.config import TrainConfig
+# when it first loads, so pctl is imported before any test module loads numpy
+import pctl  # noqa: F401
 
 CRITERION_PATTERN = re.compile(r"test_criterion_(\d+[a-z]?)_(\w+)")
 
@@ -30,27 +26,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(
                 f"criterion {number} {name.replace('_', '-')}: {verdict}")
 
-
-@pytest.fixture
-def save_with_switches(monkeypatch):
-    """Save a state as checkpoints before ``TrainConfig.variant`` were written.
-
-    The file has no ``cfg.variant`` record and one ``cfg.<switch>`` record per
-    item of ``switches``; ``kept``, if given, limits the other train records
-    to those it names.
-    """
-    records = pctl.trainer.config_records
-
-    def save(state, path, switches, kept=None):
-        def old_records(cfg):
-            if not isinstance(cfg, TrainConfig):
-                return records(cfg)
-            out = [r for r in records(cfg) if r[0] != "cfg.variant"
-                   and (kept is None or r[0] in kept)]
-            return out + [(f"cfg.{k}", np.float64(v)) for k, v in switches.items()]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(pctl.trainer, "config_records", old_records)
-            pctl.trainer.save_checkpoint(state, path)
-
-    return save

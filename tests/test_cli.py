@@ -12,7 +12,13 @@ from pctl.cli import main
 from pctl.config import SECTIONS, ModelConfig, RunConfig, resolved_text, settable
 from pctl.data import HsiCube, SynthSpec, read_cube, read_labels, write_cube, write_labels
 from pctl.errors import ConfigError
-from pctl.trainer import ModelState, TrainConfig, load_checkpoint, predict
+from pctl.trainer import (
+    ModelState,
+    TrainConfig,
+    checkpoint_records,
+    load_checkpoint,
+    predict,
+)
 
 SYNTH_CFG = """
 synth.classes = 3
@@ -56,6 +62,16 @@ def assert_usage_error(capsys, argv):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     return err[0]
+
+
+def record_bytes(name, value, dims=None):
+    """One checkpoint record holding ``value``; ``dims``, if given, replaces
+    the shape its header declares."""
+    data = np.asarray(value, dtype="<f8")
+    dims = data.shape if dims is None else dims
+    encoded = name.encode()
+    return (struct.pack("<H", len(encoded)) + encoded
+            + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + data.tobytes())
 
 
 def without_labeled_pixels(scene, tmp_path):
@@ -179,15 +195,12 @@ class TestTrain:
         for name in ("model.pctl", "metrics.csv", "resolved-config.txt"):
             assert (out / name).read_bytes() == (trained / name).read_bytes(), name
 
-    # each case also resumes the checkpoint rewritten as files before
-    # train.variant stored it: with the one switch record its id names
-    @pytest.mark.parametrize("variant, switches", [
-        pytest.param("classifier-only", dict(classifier_only=1),
-                     id="train.classifier_only=true"),
-        pytest.param("sparse", dict(no_mi=1), id="train.no_mi=true"),
+    @pytest.mark.parametrize("variant", [
+        pytest.param("classifier-only", id="train.classifier_only=true"),
+        pytest.param("sparse", id="train.no_mi=true"),
     ])
     def test_resume_with_default_flags_keeps_the_checkpoints_settings(
-            self, scene, tmp_path, save_with_switches, variant, switches):
+            self, scene, tmp_path, variant):
         first, second = tmp_path / "first", tmp_path / "second"
         assert train_cmd(scene, first, *TRAIN_OVERRIDES, "--set", f"train.variant={variant}",
                          "--set", "train.epochs=1") == 0
@@ -198,11 +211,20 @@ class TestTrain:
         assert after.train_cfg == before.train_cfg
         assert after.train_cfg.variant == variant
         assert after.model_cfg == before.model_cfg
-        old, third = tmp_path / "old.pctl", tmp_path / "third"
-        save_with_switches(before, old, switches)
-        assert train_cmd(scene, third, "--resume", str(old)) == 0
+
+    def test_resume_onto_another_band_count_exits_4(self, scene, trained, tmp_path, capsys):
+        cube = read_cube(scene / "data/source.hsic")
+        source = tmp_path / "seven-bands.hsic"
+        write_cube(HsiCube(cube.reflectance[:, :, :7], cube.labels), source)
+        out = tmp_path / "resumed"
+        capsys.readouterr()
+        assert main(["train", "--source", str(source),
+                     "--target", str(scene / "data/target.hsic"), "--out", str(out),
+                     "--resume", str(trained / "model.pctl")]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
         for name in ("model.pctl", "metrics.csv", "resolved-config.txt"):
-            assert (third / name).read_bytes() == (second / name).read_bytes(), name
+            assert not (out / name).exists(), name
 
     @pytest.mark.parametrize("flag", ["train.variant=full", "model.patch_size=5"])
     def test_resume_with_a_conflicting_setting_exits_2(self, scene, tmp_path,
@@ -285,69 +307,61 @@ class TestTrain:
 
 
 class TestPredictEvaluate:
-    def test_checkpoint_with_off_ladder_switches_exits_2(self, scene, trained, tmp_path,
-                                                         capsys, save_with_switches):
-        # before train.variant, checkpoints named the variant by four switches;
-        # no variant has a shared decoder and the MI term
-        checkpoint = tmp_path / "old.pctl"
-        save_with_switches(load_checkpoint(trained / "model.pctl"), checkpoint,
-                           dict(classifier_only=0, shared_decoder_only=1, no_sparse=1, no_mi=0))
-        err = assert_usage_error(capsys, ["predict", "--checkpoint", str(checkpoint),
-                                          "--cube", str(scene / "data/target.hsic"),
-                                          "--out", str(tmp_path / "p.hsil")])
-        assert "shared_decoder_only, no_sparse" in err
-        assert not (tmp_path / "p.hsil").exists()
-
-    @pytest.mark.parametrize("name, kept, removed, named", [
-        ("beta_mode", 0, 1, "model.beta_mode = fixed"),
-        ("beta_shared", 0, 1, "model.beta_shared = true"),
-        ("per_band_affine", 1, 0, "model.per_band_affine = false")])
-    def test_checkpoint_with_a_removed_model_switch(self, scene, trained, tmp_path, capsys,
-                                                    name, kept, removed, named):
-        # older checkpoints store three model switches that are gone; each
-        # loads at the value of the one network kept, and exits 2 at another
-        def predict_with(value, out):
-            encoded = f"cfg.{name}".encode()
-            checkpoint = tmp_path / f"{value}.pctl"
-            checkpoint.write_bytes((trained / "model.pctl").read_bytes()
-                                   + struct.pack("<H", len(encoded)) + encoded
-                                   + struct.pack("<Bd", 0, value))
-            return ["predict", "--checkpoint", str(checkpoint),
-                    "--cube", str(scene / "data/target.hsic"), "--out", str(out)]
-
-        assert main(predict_with(kept, tmp_path / "kept.hsil")) == 0
-        state = load_checkpoint(trained / "model.pctl")
-        logits = predict(state, read_cube(scene / "data/target.hsic"))
-        npt.assert_array_equal(read_labels(tmp_path / "kept.hsil"), logits.argmax(axis=2) + 1)
-        err = assert_usage_error(capsys, predict_with(removed, tmp_path / "p.hsil"))
-        assert named in err
-        assert not (tmp_path / "p.hsil").exists()
-
-    @pytest.mark.parametrize("name, value, named", [
-        ("cfg.epochs", [2.0, 3.0], "record cfg.epochs must be a scalar, got shape (2,)"),
-        ("cfg.block_channels", [[2.0] * 5] * 2, "record cfg.block_channels must be a list"),
-        ("cfg.encoder_hidden", [8.5, 6.0], "record cfg.encoder_hidden must be a whole number"),
-        ("cfg.variant", -1.0, "record cfg.variant = -1 names none of"),
-        ("cfg.variant", 1.5, "record cfg.variant must be a whole number, got 1.5"),
-        ("cfg.patch_size", 3.5, "record cfg.patch_size must be a whole number, got 3.5"),
-        ("cfg.beta_mode", [0.0, 0.0], "record cfg.beta_mode must be a scalar"),
-        ("step", [4.0, 4.0], "record step must be a scalar")],
+    @pytest.mark.parametrize("name, value, named, dims", [
+        ("cfg.epochs", [2.0, 3.0], "record cfg.epochs must be a scalar, got shape (2,)", None),
+        ("cfg.block_channels", [[2.0] * 5] * 2, "record cfg.block_channels must be a list",
+         None),
+        ("cfg.encoder_hidden", [8.5, 6.0], "record cfg.encoder_hidden must be a whole number",
+         None),
+        ("cfg.variant", -1.0, "record cfg.variant = -1 names none of", None),
+        ("cfg.variant", 1.5, "record cfg.variant must be a whole number, got 1.5", None),
+        ("cfg.patch_size", 3.5, "record cfg.patch_size must be a whole number, got 3.5", None),
+        ("cfg.beta_mode", [0.0, 0.0], "checkpoint has record cfg.beta_mode, which this "
+         "version does not write for its settings; retrain the model", None),
+        ("step", [4.0, 4.0], "record step must be a scalar", None),
+        ("cfg.bands", [], "truncated record at byte offset", (2 ** 31, 2 ** 31, 4)),
+        ("cfg.bands", [], "truncated record at byte offset", (2 ** 32 - 1, 2 ** 32 - 1))],
         ids=["two-epochs", "block-channels-2d", "fractional-width", "variant-minus-one",
-             "fractional-variant", "fractional-patch-size", "two-beta-modes", "two-steps"])
+             "fractional-variant", "fractional-patch-size", "two-beta-modes", "two-steps",
+             "dims-2^31x2^31x4", "dims-(2^32-1)^2"])
     def test_a_malformed_record_exits_2(self, scene, trained, tmp_path, capsys,
-                                        name, value, named):
+                                        name, value, named, dims):
         # a later record of the same name replaces the checkpoint's own
-        data = np.asarray(value, dtype="<f8")
-        encoded = name.encode()
         checkpoint = tmp_path / "bad.pctl"
         checkpoint.write_bytes((trained / "model.pctl").read_bytes()
-                               + struct.pack("<H", len(encoded)) + encoded
-                               + struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape)
-                               + data.tobytes())
+                               + record_bytes(name, value, dims))
         err = assert_usage_error(capsys, ["predict", "--checkpoint", str(checkpoint),
                                           "--cube", str(scene / "data/target.hsic"),
                                           "--out", str(tmp_path / "p.hsil")])
-        assert named in err
+        assert str(checkpoint) in err and named in err
+        assert not (tmp_path / "p.hsil").exists()
+
+    def test_a_record_of_another_variant_exits_2(self, scene, tmp_path, capsys):
+        # a classifier-only model has no decoder
+        run = tmp_path / "run"
+        assert train_cmd(scene, run, *TRAIN_OVERRIDES, "--set", "train.epochs=0",
+                         "--set", "train.variant=classifier-only") == 0
+        checkpoint = tmp_path / "extra.pctl"
+        checkpoint.write_bytes((run / "model.pctl").read_bytes()
+                               + record_bytes("dec.src_scale", np.ones(10)))
+        err = assert_usage_error(capsys, ["predict", "--checkpoint", str(checkpoint),
+                                          "--cube", str(scene / "data/target.hsic"),
+                                          "--out", str(tmp_path / "p.hsil")])
+        assert f"{checkpoint}: checkpoint has record dec.src_scale, which this version " \
+               "does not write for its settings; retrain the model" in err
+        assert not (tmp_path / "p.hsil").exists()
+
+    @pytest.mark.parametrize("dropped", ["cfg.eval_samples", "adam.v.clf.head.bias"])
+    def test_a_missing_record_exits_2(self, scene, trained, tmp_path, capsys, dropped):
+        state = load_checkpoint(trained / "model.pctl")
+        checkpoint = tmp_path / "short.pctl"
+        checkpoint.write_bytes(b"PCTL\x01" + b"".join(
+            record_bytes(name, value) for name, value in checkpoint_records(state)
+            if name != dropped))
+        err = assert_usage_error(capsys, ["predict", "--checkpoint", str(checkpoint),
+                                          "--cube", str(scene / "data/target.hsic"),
+                                          "--out", str(tmp_path / "p.hsil")])
+        assert f"{checkpoint}: checkpoint is missing record {dropped}; retrain the model" in err
         assert not (tmp_path / "p.hsil").exists()
 
     def test_predict_writes_raster(self, scene, trained, tmp_path):

@@ -397,48 +397,6 @@ class TestCheckpoint:
         assert dict(loaded.parameters())["enc.beta_raw"].shape == (4,)
         assert loaded.classifier.dropout.rate == 0.25
 
-    def test_missing_train_records_load_as_defaults(self, tmp_path, save_with_switches):
-        # older checkpoints store only these four train records: the seed and
-        # three switches, which name the sparse variant
-        state = ModelState(tiny_model(), tiny_train(epochs=0, alpha=0.5, variant="sparse"),
-                           seed=14)
-        path = tmp_path / "m.pctl"
-        save_with_switches(state, path, dict(classifier_only=0, shared_decoder_only=0, no_mi=1),
-                           kept={"cfg.seed"})
-        loaded = load_checkpoint(path)
-        assert loaded.model_cfg == state.model_cfg
-        assert loaded.train_cfg == TrainConfig(seed=9, variant="sparse")
-
-    @pytest.mark.parametrize("variant, switches", [
-        ("classifier-only", dict(classifier_only=1)),
-        ("classifier-only", dict(classifier_only=1, no_sparse=1)),
-        ("shared-decoder", dict(shared_decoder_only=1, no_sparse=1, no_mi=1)),
-        ("affine-decoder", dict(no_sparse=1, no_mi=1)),
-        ("sparse", dict(no_mi=1)),
-        ("full", {}),
-    ])
-    def test_switch_records_load_as_their_rung(self, tmp_path, save_with_switches,
-                                               variant, switches):
-        source, _, _ = tiny_scene()
-        state = ModelState(tiny_model(), tiny_train(epochs=0, variant=variant), seed=14)
-        path = tmp_path / "m.pctl"
-        save_with_switches(state, path, switches)
-        loaded = load_checkpoint(path)
-        assert loaded.train_cfg == state.train_cfg
-        npt.assert_array_equal(predict(state, source), predict(loaded, source))
-
-    @pytest.mark.parametrize("switches, named", [
-        (dict(no_sparse=1), "no_sparse"),
-        (dict(shared_decoder_only=1, no_sparse=1), "shared_decoder_only, no_sparse"),
-    ])
-    def test_off_ladder_switches_are_a_parse_error(self, tmp_path, save_with_switches,
-                                                   switches, named):
-        path = tmp_path / "m.pctl"
-        save_with_switches(ModelState(tiny_model(), tiny_train(), seed=14),
-                           path, switches)
-        with pytest.raises(ParseError, match=f"switches {named}$"):
-            load_checkpoint(path)
-
     def test_checkpoint_magic(self, tmp_path):
         source, target, _ = tiny_scene()
         cfg = tiny_train(epochs=0)

@@ -10,8 +10,10 @@ paths, so that what they print does not name the side:
 - gen-synth for the default spec, scenes/bump.txt and scenes/ramp.txt (each
   side's own copy);
 - on a default scene of 36 pixels per class, at model.patch_size=3 for 30
-  epochs: train, predict with and without --probs-csv, evaluate --report, an
-  ablate of all five variants, inspect-decoder and project2d;
+  epochs: train, predict with and without --probs-csv, evaluate --report, a
+  train --resume from that checkpoint for 10 more epochs and a predict from
+  the resumed checkpoint, an ablate of all five variants, inspect-decoder and
+  project2d;
 - gradcheck --seeds 2.
 
 Every file the commands write is compared, and so is each command's exit code
@@ -51,6 +53,10 @@ COMMANDS = [
                        "--probs-csv", "probs.csv"]),
     ("evaluate", ["evaluate", "--truth", "scene/target.hsil", "--pred", "pred.hsil",
                   "--report", "report.json"]),
+    ("resume", ["train", *SCENE, "--out", "resumed", "--resume", "run/model.pctl",
+                "--set=train.epochs=10"]),
+    ("predict-resumed", ["predict", "--checkpoint", "resumed/model.pctl",
+                         "--cube", "scene/target.hsic", "--out", "pred-resumed.hsil"]),
     ("ablate", ["ablate", *SCENE, "--out", "ablate", *SETTINGS]),
     ("inspect-decoder", ["inspect-decoder", "--checkpoint", "run/model.pctl",
                          "--out", "affine.csv"]),
