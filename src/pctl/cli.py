@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import RunConfig, resolved_text
 from .data import generate_synthetic_pair, read_cube, read_labels, write_cube, write_labels
+from .decoder import AffineDecoder
 from .errors import ConfigError, ContractError, DataMismatchError, DivergenceError, ParseError
 from .gradcheck import run_all
 from .layers import softmax
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-per-class", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("inspect-decoder", help="dump learned affine pairs as CSV")
+    p = sub.add_parser("inspect-decoder", help="dump the learned source affine pair as CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
 
@@ -288,17 +289,15 @@ def cmd_project2d(args) -> int:
 
 def cmd_inspect_decoder(args) -> int:
     state = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    if state.decoder is None or not hasattr(state.decoder, "affine_pairs"):
+    dec = state.decoder
+    if not isinstance(dec, AffineDecoder):
         raise ConfigError("checkpoint has no affine decoder to inspect")
-    pairs = state.decoder.affine_pairs()
-    n = len(pairs["src_scale"])
-    lines = ["band,src_scale,src_offset,tgt_scale,tgt_offset"]
-    for band in range(n):
-        lines.append(f"{band}," + ",".join(
-            repr(float(pairs[key][band])) for key in
-            ("src_scale", "src_offset", "tgt_scale", "tgt_offset")))
+    lines = ["band,src_scale,src_offset"]
+    lines += [f"{band},{float(scale)!r},{float(offset)!r}"
+              for band, (scale, offset) in enumerate(zip(dec.src_scale.data,
+                                                         dec.src_offset.data))]
     Path(args.out).write_text("\n".join(lines) + "\n")
-    print(f"affine transfer pairs written to {args.out}")
+    print(f"source affine pair written to {args.out}")
     return EXIT_OK
 
 

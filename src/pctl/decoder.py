@@ -1,10 +1,12 @@
 """Affine-transfer decoder over a linear mixing model.
 
 Both domains reconstruct through one shared endmember matrix M [c, L]: an
-abundance row a mixes to a·M, the linear mixing model. Each domain then
-applies its own per-band scale and offset. M carries the material spectra
-while the affine pairs absorb cross-domain illumination and sensor shifts, so
-the latent abundances can stay domain-invariant.
+abundance row a mixes to a·M, the linear mixing model. M holds the material
+spectra in target units, and the source applies one per-band scale and offset
+on top, which absorb cross-domain illumination and sensor shifts, so the
+latent abundances can stay domain-invariant. A target pair would only
+reparametrize M: abundance rows sum to one, so
+(a·M)·s + o = a·(M·diag(s) + 1·oᵀ).
 """
 
 from __future__ import annotations
@@ -77,32 +79,27 @@ class PlainDecoder:
 
 
 class AffineDecoder(PlainDecoder):
-    """Shared endmember matrix plus one per-band (scale, offset) pair per domain.
+    """Shared endmember matrix plus a per-band (scale, offset) pair for the source.
 
-    Scales start at 1 and offsets at 0, so an untrained decoder treats both
-    domains identically.
+    The target reconstructs as a·M. The source scale starts at 1 and its
+    offset at 0, so an untrained decoder treats both domains identically.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
         self.src_scale = Tensor(np.ones(cfg.bands), requires_grad=True)
         self.src_offset = Tensor(np.zeros(cfg.bands), requires_grad=True)
-        self.tgt_scale = Tensor(np.ones(cfg.bands), requires_grad=True)
-        self.tgt_offset = Tensor(np.zeros(cfg.bands), requires_grad=True)
 
     def decode_source(self, a: SimplexBatch) -> Tensor:
         return self.basis(a) * self.src_scale + self.src_offset
 
-    def decode_target(self, a: SimplexBatch) -> Tensor:
-        return self.basis(a) * self.tgt_scale + self.tgt_offset
-
     def initialize(self, source_pixels: np.ndarray, target_pixels: np.ndarray) -> None:
         """M from pure target pixels; the source pair from per-band moments.
 
-        The target pair stays (1, 0), so M is read in target units. If both
-        domains draw abundances from the same distribution and
-        x_s = scale * x_t + offset per band, then std_s = scale * std_t and
-        mean_s = scale * mean_t + offset, which fixes the source pair.
+        M is read in target units. If both domains draw abundances from the
+        same distribution and x_s = scale * x_t + offset per band, then
+        std_s = scale * std_t and mean_s = scale * mean_t + offset, which
+        fixes the source pair.
         """
         super().initialize(source_pixels, target_pixels)
         std_t = target_pixels.std(axis=0)
@@ -114,17 +111,7 @@ class AffineDecoder(PlainDecoder):
 
     def parameters(self):
         return super().parameters() + [
-            ("src_scale", self.src_scale), ("src_offset", self.src_offset),
-            ("tgt_scale", self.tgt_scale), ("tgt_offset", self.tgt_offset)]
-
-    def affine_pairs(self) -> dict:
-        """Learned per-band transfer parameters as plain arrays."""
-        return {
-            "src_scale": self.src_scale.data.copy(),
-            "src_offset": self.src_offset.data.copy(),
-            "tgt_scale": self.tgt_scale.data.copy(),
-            "tgt_offset": self.tgt_offset.data.copy(),
-        }
+            ("src_scale", self.src_scale), ("src_offset", self.src_offset)]
 
 
 def _pixel_l2(residual: Tensor) -> Tensor:

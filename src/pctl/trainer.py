@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor, fresh_tape, no_grad
 from .classifier import (
     PREDICT_BATCH,
@@ -444,9 +443,14 @@ def _read_records(path) -> dict:
             count = math.prod(shape)
             if 8 * count > len(raw) - offset:
                 raise ValueError("the payload runs past the end of the file")
-            records[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape)
+            array = np.frombuffer(raw, "<f8", count, offset).reshape(shape)
         except (struct.error, ValueError) as exc:
             raise ParseError(f"{path}: truncated record at byte offset {offset}") from exc
+        if name in records:
+            raise ParseError(f"{path}: checkpoint has record {name} twice")
+        if not np.isfinite(array).all():
+            raise ParseError(f"{path}: record {name} holds a non-finite value")
+        records[name] = array
         offset += 8 * count
     return records
 
@@ -455,7 +459,8 @@ def load_checkpoint(path) -> ModelState:
     """Rebuild a ModelState whose forward outputs match the saved one exactly.
 
     The file must hold exactly the records ``checkpoint_records`` lists for
-    the state its ``cfg.*`` records describe; any other is a ParseError.
+    the state its ``cfg.*`` records describe, each once and every value
+    finite; any other file is a ParseError.
     """
     rec = _read_records(path)
     try:

@@ -74,6 +74,52 @@ def record_bytes(name, value, dims=None):
             + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + data.tobytes())
 
 
+# Edits of a checkpoint's (name, value, dims) record list, for
+# test_a_malformed_record_exits_2.
+
+def replaced(name, value, dims=None):
+    """Record ``name`` holds ``value``: in place of the record of that name,
+    or after the last record when there is none."""
+    def edit(records):
+        if name not in {r[0] for r in records}:
+            return records + [(name, value, dims)]
+        return [(name, value, dims) if r[0] == name else r for r in records]
+    return edit
+
+
+def duplicated(name):
+    """A second copy of record ``name`` after the last record."""
+    return lambda records: records + [r for r in records if r[0] == name]
+
+
+def poisoned(name):
+    """Record ``name`` with nan as its first value."""
+    def edit(records):
+        out = []
+        for n, value, dims in records:
+            if n == name:
+                value = np.array(value)
+                value.flat[0] = np.nan
+            out.append((n, value, dims))
+        return out
+    return edit
+
+
+def with_target_pair(records):
+    """The records of a full checkpoint written while the decoder still
+    learned a target (scale, offset) pair, in the order it wrote them."""
+    out = []
+    for record in records:
+        out.append(record)
+        if record[0] == "dec.src_offset":
+            out += [("dec.tgt_scale", np.ones(10), None), ("dec.tgt_offset", np.zeros(10), None)]
+        elif record[0] in ("adam.m.dec.src_scale", "adam.v.dec.src_scale"):
+            prefix = record[0].removesuffix("src_scale")
+            out += [(prefix + "tgt_offset", np.zeros(10), None),
+                    (prefix + "tgt_scale", np.zeros(10), None)]
+    return out
+
+
 def without_labeled_pixels(scene, tmp_path):
     """The target cube beside a label raster that labels no pixel."""
     cube = read_cube(scene / "data/target.hsic")
@@ -307,29 +353,34 @@ class TestTrain:
 
 
 class TestPredictEvaluate:
-    @pytest.mark.parametrize("name, value, named, dims", [
-        ("cfg.epochs", [2.0, 3.0], "record cfg.epochs must be a scalar, got shape (2,)", None),
-        ("cfg.block_channels", [[2.0] * 5] * 2, "record cfg.block_channels must be a list",
-         None),
-        ("cfg.encoder_hidden", [8.5, 6.0], "record cfg.encoder_hidden must be a whole number",
-         None),
-        ("cfg.variant", -1.0, "record cfg.variant = -1 names none of", None),
-        ("cfg.variant", 1.5, "record cfg.variant must be a whole number, got 1.5", None),
-        ("cfg.patch_size", 3.5, "record cfg.patch_size must be a whole number, got 3.5", None),
-        ("cfg.beta_mode", [0.0, 0.0], "checkpoint has record cfg.beta_mode, which this "
-         "version does not write for its settings; retrain the model", None),
-        ("step", [4.0, 4.0], "record step must be a scalar", None),
-        ("cfg.bands", [], "truncated record at byte offset", (2 ** 31, 2 ** 31, 4)),
-        ("cfg.bands", [], "truncated record at byte offset", (2 ** 32 - 1, 2 ** 32 - 1))],
+    @pytest.mark.parametrize("edit, named", [
+        (replaced("cfg.epochs", [2.0, 3.0]), "record cfg.epochs must be a scalar, got shape (2,)"),
+        (replaced("cfg.block_channels", [[2.0] * 5] * 2),
+         "record cfg.block_channels must be a list"),
+        (replaced("cfg.encoder_hidden", [8.5, 6.0]),
+         "record cfg.encoder_hidden must be a whole number"),
+        (replaced("cfg.variant", -1.0), "record cfg.variant = -1 names none of"),
+        (replaced("cfg.variant", 1.5), "record cfg.variant must be a whole number, got 1.5"),
+        (replaced("cfg.patch_size", 3.5), "record cfg.patch_size must be a whole number, got 3.5"),
+        (replaced("cfg.beta_mode", [0.0, 0.0]), "checkpoint has record cfg.beta_mode, which "
+         "this version does not write for its settings; retrain the model"),
+        (replaced("step", [4.0, 4.0]), "record step must be a scalar"),
+        (replaced("cfg.bands", [], (2 ** 31, 2 ** 31, 4)), "truncated record at byte offset"),
+        (replaced("cfg.bands", [], (2 ** 32 - 1, 2 ** 32 - 1)), "truncated record at byte offset"),
+        (duplicated("step"), "checkpoint has record step twice"),
+        (poisoned("enc.head.bias"), "record enc.head.bias holds a non-finite value"),
+        (poisoned("clf.head.bias"), "record clf.head.bias holds a non-finite value"),
+        (with_target_pair, "checkpoint has record dec.tgt_scale, which this version does not "
+         "write for its settings; retrain the model")],
         ids=["two-epochs", "block-channels-2d", "fractional-width", "variant-minus-one",
              "fractional-variant", "fractional-patch-size", "two-beta-modes", "two-steps",
-             "dims-2^31x2^31x4", "dims-(2^32-1)^2"])
-    def test_a_malformed_record_exits_2(self, scene, trained, tmp_path, capsys,
-                                        name, value, named, dims):
-        # a later record of the same name replaces the checkpoint's own
+             "dims-2^31x2^31x4", "dims-(2^32-1)^2", "duplicate-record", "nan-encoder-bias",
+             "nan-head-bias", "target-pair"])
+    def test_a_malformed_record_exits_2(self, scene, trained, tmp_path, capsys, edit, named):
+        state = load_checkpoint(trained / "model.pctl")
+        records = [(name, value, None) for name, value in checkpoint_records(state)]
         checkpoint = tmp_path / "bad.pctl"
-        checkpoint.write_bytes((trained / "model.pctl").read_bytes()
-                               + record_bytes(name, value, dims))
+        checkpoint.write_bytes(b"PCTL\x01" + b"".join(record_bytes(*r) for r in edit(records)))
         err = assert_usage_error(capsys, ["predict", "--checkpoint", str(checkpoint),
                                           "--cube", str(scene / "data/target.hsic"),
                                           "--out", str(tmp_path / "p.hsil")])
@@ -426,8 +477,18 @@ class TestInspectDecoder:
         assert main(["inspect-decoder", "--checkpoint", str(trained / "model.pctl"),
                      "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "band,src_scale,src_offset,tgt_scale,tgt_offset"
+        assert lines[0] == "band,src_scale,src_offset"
         assert len(lines) == 11  # one per band
+
+    def test_a_model_without_the_source_pair_exits_2(self, scene, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert train_cmd(scene, run, *TRAIN_OVERRIDES, "--set", "train.epochs=0",
+                         "--set", "train.variant=shared-decoder") == 0
+        err = assert_usage_error(capsys, ["inspect-decoder", "--checkpoint",
+                                          str(run / "model.pctl"),
+                                          "--out", str(tmp_path / "affine.csv")])
+        assert "checkpoint has no affine decoder to inspect" in err
+        assert not (tmp_path / "affine.csv").exists()
 
 
 class TestProject2d:

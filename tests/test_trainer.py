@@ -232,9 +232,10 @@ class TestTraining:
         source, target, _ = tiny_scene()
         cfg = tiny_train()
         state = ModelState(tiny_model(), cfg, seed=7)
-        # training re-initializes the endmembers and the source pair, so the
-        # poison goes into the target pair
-        state.decoder.tgt_offset.data[0] = np.inf
+        # a state past step 0 keeps its decoder, which a fresh one would
+        # re-initialize from the cubes
+        state.step = 1
+        state.decoder.src_offset.data[0] = np.inf
         with pytest.raises(DivergenceError, match="L2"):
             train(state, source, target, cfg)
 
@@ -392,7 +393,7 @@ class TestCheckpoint:
             assert loaded.model_cfg == state.model_cfg
             assert loaded.train_cfg == state.train_cfg
         # the last variant builds every module, and each reads its settings
-        assert [v.shape for v in loaded.decoder.affine_pairs().values()] == [(10,)] * 4
+        assert loaded.decoder.src_scale.shape == loaded.decoder.src_offset.shape == (10,)
         assert loaded.mi_disc.dense0.out_dim == 7
         assert dict(loaded.parameters())["enc.beta_raw"].shape == (4,)
         assert loaded.classifier.dropout.rate == 0.25

@@ -18,13 +18,15 @@ paths, so that what they print does not name the side:
 
 Every file the commands write is compared, and so is each command's exit code
 and standard output. The script names each file that differs or that only one
-side wrote, and each command that failed on either side; it exits 0 only when
-there is none.
+side wrote, and each command that failed on either side; for a command whose
+output differs, it also prints the differing lines, "-" for the parent's and
+"+" for the change's. It exits 0 only when there is none.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import os
 import shutil
 import subprocess
@@ -111,6 +113,13 @@ def main(argv=None) -> int:
                 problems.append(f"{path} written by the {'parent' if path in parent else 'change'} only")
             elif parent[path] != change[path]:
                 problems.append(f"{path} differs")
+                if path.startswith("log/"):
+                    diff = difflib.unified_diff(parent[path].decode().splitlines(),
+                                                change[path].decode().splitlines(),
+                                                lineterm="", n=0)
+                    # past the two file headers, every line but a hunk header
+                    problems += [f"  {line}" for line in list(diff)[2:]
+                                 if not line.startswith("@@")]
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     for line in problems:
