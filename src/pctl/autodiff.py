@@ -158,9 +158,15 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _records(parents: tuple) -> bool:
+    """Whether an op on ``parents`` records a node: gradients are on and a
+    parent wants one."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(op: str, data: np.ndarray, parents: tuple, backward_fn: Callable) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out.node_id = _active_tape.record(Node(op, out, parents, backward_fn))
     return out
@@ -275,8 +281,13 @@ def softplus(a: Tensor) -> Tensor:
     return _make("softplus", out, (a,), lambda g: (g * _sigmoid_stable(x),))
 
 
-def relu(a: Tensor) -> Tensor:
+def relu(a: Tensor, overwrite: bool = False) -> Tensor:
+    """max(a, 0). With ``overwrite``, for a caller that no longer needs a's
+    data, the result is written over it when no node records the op."""
     mask = a.data > 0
+    if overwrite and not _records((a,)):
+        np.copyto(a.data, 0.0, where=~mask)
+        return Tensor(a.data)
     return _make("relu", np.where(mask, a.data, 0.0), (a,),
                  lambda g: (g * mask,))
 
@@ -328,6 +339,37 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
     return _make("concat", np.concatenate([t.data for t in tensors], axis=axis),
                  tuple(tensors), bwd)
+
+
+def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.shape == b.shape and a.strides == b.strides
+            and a.__array_interface__["data"][0] == b.__array_interface__["data"][0])
+
+
+def concat_into(tensors: Sequence[Tensor], out: np.ndarray) -> Tensor:
+    """The concatenation of ``tensors`` along axis 1, as a tensor whose data
+    is ``out`` itself, typically a channel-prefix view of a larger buffer.
+
+    Each tensor's data is copied into its channel slice of ``out`` unless it
+    already is that slice, so a prefix grown by one piece per call, with the
+    previous prefix as the first tensor, copies each piece once. ``out`` must
+    hold no other live tensor's data. The backward splits g by channel into
+    views, where ``concat``'s makes copies.
+    """
+    tensors = list(tensors)
+    bounds = np.cumsum([0] + [t.shape[1] for t in tensors]).tolist()
+    first = tensors[0].shape
+    if any(t.data.ndim < 2 or t.shape[:1] + t.shape[2:] != first[:1] + first[2:]
+           for t in tensors) or out.shape != (first[0], bounds[-1], *first[2:]):
+        raise DimensionError(f"concat_into: pieces {[t.shape for t in tensors]} "
+                             f"do not fill {out.shape} along axis 1")
+    slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    for t, channels in zip(tensors, slices):
+        piece = out[:, channels]
+        if not _same_memory(piece, t.data):
+            piece[...] = t.data
+    return _make("concat_into", out, tuple(tensors),
+                 lambda g: tuple(g[:, channels] for channels in slices))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -390,7 +432,8 @@ def cumprod(a: Tensor) -> Tensor:
 
 # -- normalization ----------------------------------------------------------
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, moments=None):
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, moments=None,
+               overwrite: bool = False):
     """Per-channel normalization of ``x`` over every axis but axis 1, as one
     tape node; returns (output, mean, variance), the per-channel moments it
     normalized with.
@@ -402,15 +445,21 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, moments=None)
     (Ioffe and Szegedy, arXiv:1502.03167). With ``moments`` = (mean, var),
     fixed arrays such as running moments, it is the per-channel scale
     s = gamma / sqrt(var + eps) and shift beta - mean·s.
+
+    With ``overwrite``, for a caller that no longer needs x's data, the output
+    is written over it when no node records the op. The output keeps x's
+    memory layout either way.
     """
     xd = x.data
+    into = xd if overwrite and not _records((x, gamma, beta)) else None
     cshape = (1, -1) + (1,) * (xd.ndim - 2)
     axes = (0,) + tuple(range(2, xd.ndim))
     if moments is not None:
         mean, var = moments
         root = np.sqrt(var + eps)
         scale = gamma.data / root
-        out = xd * scale.reshape(cshape) + (beta.data - mean * scale).reshape(cshape)
+        out = np.multiply(xd, scale.reshape(cshape), out=into)
+        out += (beta.data - mean * scale).reshape(cshape)
 
         def bwd(g):
             dgamma = (g * (xd - mean.reshape(cshape))).sum(axis=axes) / root
@@ -424,7 +473,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, moments=None)
     sigma = (var + eps) ** 0.5
     xhat /= sigma
     gam = gamma.data.reshape(cshape)
-    out = xhat * gam + beta.data.reshape(cshape)
+    out = np.multiply(xhat, gam, out=into)
+    out += beta.data.reshape(cshape)
     count = xd.size // xd.shape[1]
 
     def bwd(g):
@@ -477,6 +527,13 @@ def _runs(n_out, lo, n_in, k):
     return [(o0, o1, *taps[o0]) for o0, o1 in zip(starts, starts[1:])]
 
 
+def _channels_last(a):
+    """[N, C, D, H, W] as a channels-last view [N, D, H, W, C], copied only
+    when its channels are not adjacent in memory."""
+    al = a.transpose(0, 2, 3, 4, 1)
+    return al if al.strides[4] == al.itemsize else np.ascontiguousarray(al)
+
+
 def _tiles(xl, lows, out_dims, kd, kh):
     """Yield (index, taps, tile) over a channels-last input ``xl`` [N, D, H,
     W, c] padded by ``lows`` before D and H. For each run of output planes and
@@ -484,14 +541,23 @@ def _tiles(xl, lows, out_dims, kd, kh):
     taps*c] has a row per input column (n, od, oh, iw) holding those taps
     only, copied out of a strided view of ``xl`` into storage shared by the
     tiles of one call. ``index`` selects the tile's samples, planes and rows
-    of [N, Do, Ho, ...], ``taps`` its (i, j) taps of [kd, kh, ...]."""
+    of [N, Do, Ho, ...], ``taps`` its (i, j) taps of [kd, kh, ...].
+
+    ``xl`` may be a view, such as a channel prefix of a wider buffer. The
+    strided views are built on the contiguous array that owns its memory
+    (``np.ndarray`` takes no other buffer, and ``as_strided`` costs three
+    times as much a call), or on a copy of ``xl`` when there is none."""
+    owner = xl if xl.base is None else xl.base
+    if not (isinstance(owner, np.ndarray) and owner.flags.c_contiguous):
+        xl = owner = np.ascontiguousarray(xl)
+    start = xl.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
     n, d, h, w, c = xl.shape
     sn, sd, sh, sw, sc = xl.strides
     plan = []
     for d0, d1, i0, i1 in _runs(out_dims[0], lows[0], d, kd):
         for h0, h1, j0, j1 in _runs(out_dims[1], lows[1], h, kh):
-            view = np.ndarray((n, d1 - d0, h1 - h0, w, i1 - i0, j1 - j0, c), xl.dtype, xl,
-                              (d0 + i0 - lows[0]) * sd + (h0 + j0 - lows[1]) * sh,
+            view = np.ndarray((n, d1 - d0, h1 - h0, w, i1 - i0, j1 - j0, c), xl.dtype, owner,
+                              start + (d0 + i0 - lows[0]) * sd + (h0 + j0 - lows[1]) * sh,
                               (sn, sd, sh, sw, sd, sh, sc))
             rows = (d1 - d0) * (h1 - h0) * w
             step = min(n, max(TILE_ELEMENTS // view[0].size, -(-TILE_ROWS // rows)))
@@ -547,8 +613,13 @@ def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
     with the run's rows of the [kd*kh*c_in, kw*c_out] kernel computes all kw
     width taps, and kw shifted adds place them in the output: kn2row over
     width (Anderson et al., arXiv:1709.03395). W padding is only the range
-    of output columns each tap reaches. No im2col matrix is built, so memory
-    stays a few times the operands.
+    of output columns each tap reaches. No im2col matrix is built: beyond
+    its output, a call holds one tile and its GEMM product.
+
+    The input is read in place when its channels are adjacent in memory, as
+    in a channel prefix of a channels-last buffer; otherwise one
+    channels-last copy is made. The output, and in the backward the input
+    gradient, is a [N, C, D, H, W] view of channels-last memory.
 
     The backward pass keeps the channels-last input. The kernel gradient
     adds tile.T @ dY into the run's taps over the same tiles, dY being g
@@ -579,13 +650,13 @@ def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
         raise DimensionError(f"conv3d: kernel {ksize} larger than padded input {tuple(padded)}")
     out_dims = tuple(p - k + 1 for p, k in zip(padded, ksize))
     lows = [lo for lo, _ in pads]
-    xl = np.ascontiguousarray(xd.transpose(0, 2, 3, 4, 1))
+    xl = _channels_last(xd)
     out = np.empty((N, *out_dims, Co))
     _correlate(xl, _kmat(kd_), lows, out)
 
     def bwd(g):
         # dY[n, od, oh, iw, l] = g[n, od, oh, iw + lo - l], zero outside g
-        g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))
+        g_cl = _channels_last(g)
         gw = _pad(g_cl, *(kw - 1 - p for p in pads[2]))
         sn, sd, sh, sw, sc = gw.strides
         dy = np.ndarray((N, *out_dims[:2], W, kw, Co), gw.dtype, gw, sw * (kw - 1),
@@ -596,8 +667,7 @@ def conv3d(x: Tensor, kernels: Tensor, padding=0) -> Tensor:
         flipped = kd_.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
         dx = np.empty((N, D, H, W, Ci))
         _correlate(g_cl, _kmat(flipped), [k - 1 - lo for k, lo in zip(ksize, lows)], dx)
-        return (np.ascontiguousarray(dx.transpose(0, 4, 1, 2, 3)),
+        return (dx.transpose(0, 4, 1, 2, 3),
                 np.ascontiguousarray(dk.reshape(kd, kh, Ci, kw, Co).transpose(4, 2, 0, 1, 3)))
 
-    return _make("conv3d", np.ascontiguousarray(out.transpose(0, 4, 1, 2, 3)),
-                 (x, kernels), bwd)
+    return _make("conv3d", out.transpose(0, 4, 1, 2, 3), (x, kernels), bwd)

@@ -6,6 +6,14 @@ conv blocks (conv + batchnorm + relu) are densely connected: block i sees
 the channel-concatenation of the input volume and every earlier block's
 output. The classifier never touches raw spectra; everything it consumes
 has passed through the shared encoder.
+
+One call keeps that concatenation in a single dense buffer, channels-last
+in memory: the input and each block's output but the last are copied into
+their channel slice once, and block i reads a channel-prefix view of it
+(``autodiff.concat_into``). A block's conv output is itself a view of
+channels-last memory, which batchnorm and relu overwrite when no gradient is
+recorded, so an inference call holds about the buffer, one block output and
+conv3d's tiles.
 """
 
 from __future__ import annotations
@@ -51,7 +59,9 @@ class ConvBlock:
         self.padding = _same_padding(kernel)
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        return ad.relu(self.bn(ad.conv3d(x, self.kernels, padding=self.padding), train))
+        # the conv output is the block's own, so batchnorm and relu may reuse it
+        y = self.bn(ad.conv3d(x, self.kernels, padding=self.padding), train, overwrite=True)
+        return ad.relu(y, overwrite=True)
 
     def parameters(self):
         return [("kernels", self.kernels)] + \
@@ -81,11 +91,14 @@ class Classifier3d:
             raise DimensionError(
                 f"abundance patches must be [batch, 1, c={c}, P={p}, P={p}], "
                 f"got {x.shape}")
-        feats = [x]
-        for block in self.blocks:
-            inp = feats[0] if len(feats) == 1 else ad.concat(feats, axis=1)
-            feats.append(block(inp, train))
-        flat = ad.reshape(feats[-1], (x.shape[0], -1))
+        # the input and every block output but the last, channels-last in
+        # memory; block i reads the channels of the input and blocks 0..i-1
+        widths = np.cumsum([1] + self.cfg.block_channels[:-1]).tolist()
+        dense = np.empty((x.shape[0], c, p, p, widths[-1])).transpose(0, 4, 1, 2, 3)
+        h = x
+        for block, width in zip(self.blocks, widths[1:]):
+            h = ad.concat_into([h, block(h, train)], dense[:, :width])
+        flat = ad.reshape(self.blocks[-1](h, train), (x.shape[0], -1))
         return self.head(self.dropout(flat, train))
 
     def parameters(self):

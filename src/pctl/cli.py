@@ -184,7 +184,9 @@ def cmd_evaluate(args) -> int:
     if truth.shape != pred.shape:
         raise DataMismatchError(
             f"truth {truth.shape} and prediction {pred.shape} differ")
-    k = int(truth.max())
+    # a model may predict a class the truth lacks: count that as a miss
+    labeled = pred[truth > 0]
+    k = max(int(truth.max()), int(labeled.max()) if labeled.size else 0)
     cm = confusion(truth.reshape(-1), pred.reshape(-1), k)
     oa, aa, kappa = oa_aa_kappa(cm)
     if args.report:

@@ -73,12 +73,15 @@ class BatchNorm3d:
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
+    def __call__(self, x: Tensor, train: bool, overwrite: bool = False) -> Tensor:
+        """``overwrite`` lets the output reuse x's memory, as in
+        ``autodiff.batch_norm``."""
         if x.data.ndim != 5 or x.shape[1] != self.channels:
             raise DimensionError(
                 f"batchnorm expects [N, {self.channels}, D, H, W], got {x.shape}")
         running = None if train else (self.running_mean, self.running_var)
-        out, mu, var = ad.batch_norm(x, self.gamma, self.beta, BN_EPSILON, running)
+        out, mu, var = ad.batch_norm(x, self.gamma, self.beta, BN_EPSILON, running,
+                                     overwrite)
         if train:
             m = BN_MOMENTUM
             self.running_mean = m * self.running_mean + (1 - m) * mu

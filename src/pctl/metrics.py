@@ -46,7 +46,8 @@ def confusion(truth, pred, num_classes: int) -> ConfusionMatrix:
     if truth.size and (truth.max() > num_classes):
         raise ContractError(f"truth label {truth.max()} outside 1..{num_classes}")
     if truth.size and (pred.min() < 1 or pred.max() > num_classes):
-        raise ContractError("prediction label outside 1..k")
+        bad = pred.min() if pred.min() < 1 else pred.max()
+        raise ContractError(f"prediction label {bad} outside 1..{num_classes}")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (truth - 1, pred - 1), 1)
     return ConfusionMatrix(counts)

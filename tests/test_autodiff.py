@@ -7,7 +7,9 @@ from pctl.autodiff import (
     Tensor,
     absolute,
     clamp,
+    batch_norm,
     concat,
+    concat_into,
     conv3d,
     cumprod,
     exp,
@@ -336,6 +338,25 @@ class TestConv3d:
         operands = x.data.nbytes + k.data.nbytes + out.data.nbytes
         assert peak < 8 * operands, (peak, operands)
 
+    def test_channel_prefix_input_matches_a_contiguous_one(self):
+        """An input whose channels are adjacent but not contiguous, a channel
+        prefix of a channels-last buffer, gives the same output and gradients
+        as its contiguous copy; output and input gradient keep the shape."""
+        rng = np.random.default_rng(23)
+        buf = rng.standard_normal((2, 4, 5, 5, 7)).transpose(0, 4, 1, 2, 3)
+        k = rng.standard_normal((3, 4, 3, 3, 3))
+        g = rng.standard_normal((2, 3, 4, 5, 5))
+        grads = []
+        for data in (buf[:, :4], np.ascontiguousarray(buf[:, :4])):
+            x, kt = Tensor(data, requires_grad=True), Tensor(k.copy(), requires_grad=True)
+            with fresh_tape():
+                out = conv3d(x, kt, padding=1)
+                reduce_sum(out * Tensor(g)).backward()
+            grads.append((out.data, x.grad, kt.grad))
+        for a, b in zip(*grads):
+            assert a.shape == b.shape
+            npt.assert_array_equal(a, b)
+
 
 class TestReductions:
     def test_cumprod_exclusive_prefix(self):
@@ -388,6 +409,70 @@ class TestShapeOps:
         c = Tensor(rng.standard_normal((6, 4)))
         w2 = Tensor(w[0, :, :].reshape(2, 12))
         assert fd_check(lambda: reduce_sum(reshape(c, (2, 12)) * w2), [c]) < 1e-6
+
+
+    def test_concat_into_copies_only_what_is_not_in_place(self):
+        rng = np.random.default_rng(19)
+        buf = np.full((2, 3, 6), np.nan).transpose(0, 2, 1)  # [2, 6, 3], channels-last
+        a = Tensor(rng.standard_normal((2, 2, 3)))
+        head = concat_into([a], buf[:, :2])
+        assert head.data.base is buf.base
+        npt.assert_array_equal(buf[:, :2], a.data)
+        buf[:, :2] += 1.0  # a piece found in place is not copied again
+        b = Tensor(rng.standard_normal((2, 3, 3)))
+        both = concat_into([head, b], buf[:, :5])
+        npt.assert_array_equal(both.data, np.concatenate([a.data + 1.0, b.data], axis=1))
+        assert np.isnan(buf[:, 5]).all()
+
+    def test_concat_into_gradient_splits_by_channel(self):
+        rng = np.random.default_rng(21)
+        a = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 1, 3)), requires_grad=True)
+        w = rng.standard_normal((2, 3, 3))
+        with fresh_tape():
+            reduce_sum(concat_into([a, b], np.empty((2, 3, 3))) * Tensor(w)).backward()
+        npt.assert_array_equal(a.grad, w[:, :2])
+        npt.assert_array_equal(b.grad, w[:, 2:])
+
+    @pytest.mark.parametrize("shapes, out", [
+        ([(2, 2, 3), (2, 1, 4)], (2, 3, 3)),
+        ([(2, 2, 3), (1, 1, 3)], (2, 3, 3)),
+        ([(2, 2, 3)], (2, 3, 3)),
+    ])
+    def test_concat_into_rejects_pieces_that_do_not_fill_out(self, shapes, out):
+        with pytest.raises(DimensionError, match="concat_into"):
+            concat_into([Tensor(np.ones(s)) for s in shapes], np.empty(out))
+
+
+class TestOverwrite:
+    """relu and batch_norm reuse their input's memory only when asked to and
+    when no node records the op."""
+
+    def cases(self):
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((3, 2, 2, 2, 2))
+        gamma, beta = Tensor(rng.uniform(0.5, 2.0, 2)), Tensor(rng.standard_normal(2))
+        moments = (rng.standard_normal(2), rng.uniform(0.5, 2.0, 2))
+        yield x, lambda t, **kw: relu(t, **kw)
+        yield x, lambda t, **kw: batch_norm(t, gamma, beta, 1e-5, **kw)[0]
+        yield x, lambda t, **kw: batch_norm(t, gamma, beta, 1e-5, moments, **kw)[0]
+
+    def test_overwrite_without_recording_gives_the_same_values_in_place(self):
+        for x, op in self.cases():
+            expected = op(Tensor(x.copy())).data
+            t = Tensor(x.copy())
+            with no_grad():
+                out = op(t, overwrite=True)
+            assert out.data is t.data
+            npt.assert_array_equal(out.data, expected)
+
+    def test_overwrite_leaves_a_recorded_input_alone(self):
+        for x, op in self.cases():
+            t = Tensor(x.copy(), requires_grad=True)
+            with fresh_tape():
+                out = op(t, overwrite=True)
+            assert out.node_id is not None
+            npt.assert_array_equal(t.data, x)
 
 
 class TestBackward:

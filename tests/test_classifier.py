@@ -108,6 +108,71 @@ class TestLogits:
         assert fd_check(loss, params) < 1e-4
 
 
+def concat_logits(clf, x, train):
+    """The dense forward with a fresh ``ad.concat`` of every earlier output
+    for each block, and no memory reused."""
+    feats = [x]
+    for block in clf.blocks:
+        inp = feats[0] if len(feats) == 1 else ad.concat(feats, axis=1)
+        y = ad.conv3d(inp, block.kernels, padding=block.padding)
+        feats.append(ad.relu(block.bn(y, train)))
+    flat = ad.reshape(feats[-1], (x.shape[0], -1))
+    return clf.head(clf.dropout(flat, train))
+
+
+class TestDenseBuffer:
+    """Classifier3d.logits keeps the dense inputs in one channels-last buffer."""
+
+    @pytest.mark.parametrize("patch", [1, 3, 5])
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_buffer_computes_what_concat_did(self, patch, batch):
+        cfg = ModelConfig(bands=4, abundance_dim=3, num_classes=3, patch_size=patch)
+        clfs = [classifier(cfg, seed=11) for _ in range(2)]
+        for clf in clfs:
+            for i, block in enumerate(clf.blocks):
+                moments = np.random.default_rng(i)
+                block.bn.running_mean = moments.standard_normal(block.bn.channels)
+                block.bn.running_var = moments.uniform(0.5, 2.0, block.bn.channels)
+        x = random_abundance_patch(np.random.default_rng(12), batch, 3, patch)
+        with no_grad():
+            npt.assert_array_equal(clfs[0].logits(x, train=False).data,
+                                   concat_logits(clfs[1], x, train=False).data)
+
+        labels = Tensor(one_hot(np.arange(batch) % 3, 3))
+        losses = []
+        for clf, forward in zip(clfs, (Classifier3d.logits, concat_logits)):
+            with fresh_tape():
+                loss = classification_loss(forward(clf, x, True), labels)
+                loss.backward()
+            losses.append(loss.item())
+        npt.assert_allclose(losses[0], losses[1], rtol=0, atol=1e-12)
+        for (name, a), (_, b) in zip(clfs[0].parameters(), clfs[1].parameters()):
+            npt.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12, err_msg=name)
+        for (name, a), (_, b) in zip(clfs[0].buffers(), clfs[1].buffers()):
+            npt.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_inference_peak_stays_under_three_buffers(self):
+        """At patch 5 and batch 256 (pctl predict's batch), one inference call
+        allocates less than 3 times the dense buffer, so no block holds a
+        concatenated copy of its input beside it."""
+        import tracemalloc
+
+        cfg = ModelConfig(bands=10, num_classes=4, patch_size=5)
+        clf = classifier(cfg, seed=13)
+        c = cfg.abundance_dim
+        x = random_abundance_patch(np.random.default_rng(14), PREDICT_BATCH, c, 5)
+        buffer_bytes = (PREDICT_BATCH * c * 5 * 5 * 8
+                        * (1 + sum(cfg.block_channels[:-1])))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                clf.logits(x, train=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * buffer_bytes, (peak, buffer_bytes)
+
+
 # (height, width, patch size): maps 1-8 px a side, patches 1-23
 MAP_SWEEP = [(h, w, p) for h in range(1, 9) for w in range(1, 9) for p in range(1, 24, 2)]
 

@@ -470,6 +470,20 @@ class TestPredictEvaluate:
         assert set(data) == {"oa", "aa", "kappa", "per_class_recall", "confusion"}
         assert data["per_class_recall"]["1"] == 0.0
 
+    def test_evaluate_counts_a_class_the_truth_lacks_as_a_miss(self, tmp_path, capsys):
+        truth_path, pred_path = tmp_path / "t.hsil", tmp_path / "p.hsil"
+        write_labels(np.array([[1, 2], [3, 3]]), truth_path)
+        write_labels(np.array([[1, 2], [4, 3]]), pred_path)
+        report = tmp_path / "report.json"
+        with pytest.warns(UserWarning, match=r"classes \[4\] have no truth samples"):
+            assert main(["evaluate", "--truth", str(truth_path), "--pred", str(pred_path),
+                         "--report", str(report)]) == 0
+        assert "OA 75.00 AA 83.33" in capsys.readouterr().out
+        import json
+        data = json.loads(report.read_text())
+        assert data["confusion"] == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]]
+        assert data["per_class_recall"] == {"1": 1.0, "2": 1.0, "3": 0.5, "4": None}
+
 
 class TestInspectDecoder:
     def test_dump_affine_pairs(self, trained, tmp_path):

@@ -60,6 +60,11 @@ class TestConfusion:
         with pytest.raises(ContractError):
             confusion([1, 2], [1, 0], 4)
 
+    @pytest.mark.parametrize("pred, bad", [([1, 5], 5), ([0, 7], 0)])
+    def test_out_of_range_prediction_is_named(self, pred, bad):
+        with pytest.raises(ContractError, match=f"prediction label {bad} outside 1..4"):
+            confusion([1, 2], pred, 4)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):
             confusion([1, 2], [1], 2)

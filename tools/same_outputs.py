@@ -14,6 +14,8 @@ paths, so that what they print does not name the side:
   train --resume from that checkpoint for 10 more epochs and a predict from
   the resumed checkpoint, an ablate of all five variants, inspect-decoder and
   project2d;
+- predict --probs-csv from the parent side's run/model.pctl, so that
+  inference is compared on one checkpoint even when training differs;
 - gradcheck --seeds 2.
 
 Every file the commands write is compared, and so is each command's exit code
@@ -37,6 +39,8 @@ from pathlib import Path
 from bench_pairs import SIDES, checkout
 
 SCENE = ["--source", "scene/source.hsic", "--target", "scene/target.hsic"]
+# the parent side's checkpoint, by the same relative path from either work directory
+PARENT_MODEL = f"../../{SIDES[0]}/work/run/model.pctl"
 SETTINGS = [f"--set={item}" for item in (
     "model.patch_size=3", "train.epochs=30", "train.eval_every=5",
     "train.learning_rate=5e-3", "train.batch_recon=64", "train.batch_class=16",
@@ -53,6 +57,9 @@ COMMANDS = [
     ("predict-probs", ["predict", "--checkpoint", "run/model.pctl",
                        "--cube", "scene/target.hsic", "--out", "pred-probs.hsil",
                        "--probs-csv", "probs.csv"]),
+    ("predict-parent-model", ["predict", "--checkpoint", PARENT_MODEL,
+                              "--cube", "scene/target.hsic", "--out", "pred-parent-model.hsil",
+                              "--probs-csv", "probs-parent-model.csv"]),
     ("evaluate", ["evaluate", "--truth", "scene/target.hsil", "--pred", "pred.hsil",
                   "--report", "report.json"]),
     ("resume", ["train", *SCENE, "--out", "resumed", "--resume", "run/model.pctl",
