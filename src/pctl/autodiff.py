@@ -9,6 +9,13 @@ visiting each reachable node exactly once and accumulating gradients into
 Most ops are primitives. ``conv3d`` and ``batch_norm`` are each one node with
 a backward rule of their own, which keeps fewer arrays alive than the chain
 of primitives computing the same values would.
+
+A tensor's data, and a gradient a backward rule returns, may be a view: the
+shape is the contract, not the memory layout. ``conv3d`` returns its output
+as a [N, C, D, H, W] view of channels-last memory, and ``concat_into``
+returns a channel-prefix view of a buffer its caller owns. Data is never
+changed once a node has recorded it; ``relu`` and ``batch_norm`` overwrite
+their input only when the caller allows it and no node records the op.
 """
 
 from __future__ import annotations

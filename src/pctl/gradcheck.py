@@ -130,20 +130,6 @@ def _op_checks(seed: int):
                ad.concat([shp, shp], axis=0), (2, 0, 1)), (4, 12)) * Tensor(wshp)),
            [shp])
 
-    pre = Tensor(rng.standard_normal((2, 3, 2, 3)))
-    piece = Tensor(rng.standard_normal((2, 2, 2, 3)))
-    wpre = rng.standard_normal(pre.shape)
-    wboth = rng.standard_normal((2, 5, 2, 3))
-
-    def grown_prefix():
-        # a channels-last buffer: the second call finds its first piece in place
-        buf = np.empty((2, 2, 3, 6)).transpose(0, 3, 1, 2)
-        head = ad.concat_into([pre], buf[:, :3])
-        both = ad.concat_into([head, piece], buf[:, :5])
-        return ad.reduce_sum(head * Tensor(wpre)) + ad.reduce_sum(both * Tensor(wboth))
-
-    yield ("concat_into", 1e-6, grown_prefix, [pre, piece])
-
     cx = Tensor(rng.standard_normal((2, 2, 4, 5, 5)))
     ck = Tensor(rng.standard_normal((3, 2, 3, 3, 3)))
     wconv = rng.standard_normal((2, 3, 4, 5, 5))
@@ -162,6 +148,21 @@ def _op_checks(seed: int):
            lambda: ad.reduce_sum(ad.batch_norm(bx, bgamma, bbeta, 1e-5, moments)[0]
                                  * Tensor(wbn)),
            [bx, bgamma, bbeta])
+
+    # drawn last, so that the cases above keep their random instances
+    pre = Tensor(rng.standard_normal((2, 3, 2, 3)))
+    piece = Tensor(rng.standard_normal((2, 2, 2, 3)))
+    wpre = rng.standard_normal(pre.shape)
+    wboth = rng.standard_normal((2, 5, 2, 3))
+
+    def grown_prefix():
+        # a channels-last buffer: the second call finds its first piece in place
+        buf = np.empty((2, 2, 3, 6)).transpose(0, 3, 1, 2)
+        head = ad.concat_into([pre], buf[:, :3])
+        both = ad.concat_into([head, piece], buf[:, :5])
+        return ad.reduce_sum(head * Tensor(wpre)) + ad.reduce_sum(both * Tensor(wboth))
+
+    yield ("concat_into", 1e-6, grown_prefix, [pre, piece])
 
     return
 
