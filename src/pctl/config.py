@@ -53,7 +53,6 @@ class ModelConfig:
     abundance_dim: Optional[int] = None
     encoder_hidden: Optional[list[int]] = None
     stick_transform: str = field(default="printed", metadata={"choices": STICK_TRANSFORMS})
-    mi_hidden: int = 13
     patch_size: int = 11
     block_channels: list[int] = field(default_factory=lambda: [12, 32, 12, 12, 30])
     dropout_rate: float = 0.5
@@ -76,7 +75,7 @@ class ModelConfig:
             raise ConfigError("block_channels needs exactly five widths, one per conv block")
         if not self.encoder_hidden:
             raise ConfigError("encoder_hidden needs at least one width")
-        for name in ("encoder_hidden", "block_channels", "mi_hidden"):
+        for name in ("encoder_hidden", "block_channels"):
             if np.min(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} widths must be >= 1, "
                                   f"got {_format(getattr(self, name))}")

@@ -26,6 +26,8 @@ CUBE_MAGIC = b"HSIC"
 LABEL_MAGIC = b"HSIL"
 LABEL_SUFFIX = ".hsil"
 MAX_VOXELS = 2 ** 31
+CONCENTRATION_PEAK = 10.0  # Dirichlet weight of a labeled pixel's own class component
+CONCENTRATION_BASE = 0.3   # Dirichlet weight of every other component
 
 
 @dataclass
@@ -196,8 +198,6 @@ class SynthSpec:
     noise_sigma: float = 0.01
     pixels_per_class: int = 800
     seed: int = 0
-    concentration_peak: float = 10.0  # Dirichlet weight of each class's own component
-    concentration_base: float = 0.3   # Dirichlet weight of every other component
 
     def __post_init__(self):
         if self.classes < 2:
@@ -220,8 +220,6 @@ class SynthSpec:
             raise ConfigError("noise_sigma must be finite and >= 0")
         if self.pixels_per_class < 1:
             raise ConfigError("pixels_per_class must be positive")
-        if not (0 < self.concentration_peak < np.inf and 0 < self.concentration_base < np.inf):
-            raise ConfigError("concentration_peak and concentration_base must be finite and > 0")
 
 
 def _per_band(value, default, bands):
@@ -282,9 +280,9 @@ def _render_domain(spec: SynthSpec, basis: np.ndarray, rng):
         if n == 0:
             continue
         # unlabeled pixels mix uniformly; class k peaks on component k - 1
-        alpha = np.full(spec.abundance_dim, 1.0 if cls == 0 else spec.concentration_base)
+        alpha = np.full(spec.abundance_dim, 1.0 if cls == 0 else CONCENTRATION_BASE)
         if cls > 0:
-            alpha[cls - 1] = spec.concentration_peak
+            alpha[cls - 1] = CONCENTRATION_PEAK
         abund[mask] = rng.dirichlet(alpha, size=n)
     x = abund.reshape(-1, spec.abundance_dim) @ basis
     if spec.noise_sigma > 0:

@@ -63,11 +63,8 @@ class PlainDecoder:
     def decode_source(self, a: SimplexBatch) -> Tensor:
         return self.basis(a)
 
-    def decode_target(self, a: SimplexBatch) -> Tensor:
-        return self.basis(a)
-
     def decode_both(self, a_source: SimplexBatch, a_target: SimplexBatch):
-        return self.decode_source(a_source), self.decode_target(a_target)
+        return self.decode_source(a_source), self.basis(a_target)
 
     def initialize(self, source_pixels: np.ndarray, target_pixels: np.ndarray) -> None:
         """Set M to the purest target pixels, found by successive projections."""

@@ -30,12 +30,10 @@ U_CLIP = 1e-12
 STICK_TRANSFORMS = ("printed", "standard")
 
 
-def default_hidden_widths(bands: int, abundance_dim: int, depth: int = 6) -> list[int]:
-    """Geometric interpolation from the band count down to 3x the abundance dim."""
+def default_hidden_widths(bands: int, abundance_dim: int) -> list[int]:
+    """Six widths, geometric from the band count down to 3x the abundance dim."""
     lo = max(3 * abundance_dim, 2)
-    widths = [max(2, round(bands * (lo / bands) ** (i / depth)))
-              for i in range(1, depth + 1)]
-    return widths
+    return [max(2, round(bands * (lo / bands) ** (i / 6))) for i in range(1, 7)]
 
 
 class SimplexBatch:

@@ -42,8 +42,7 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def fd_check(build_loss, tensors, h: float = FD_STEP, max_coords: int = 0,
-             objectives=None) -> float:
+def fd_check(build_loss, tensors, max_coords: int = 0, objectives=None) -> float:
     """Worst relative error between backward and central differences.
 
     The analytic gradient is always the backward of ``build_loss``. By
@@ -74,12 +73,12 @@ def fd_check(build_loss, tensors, h: float = FD_STEP, max_coords: int = 0,
             coords = np.sort(probe_rng.choice(flat.size, max_coords, replace=False))
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             fp = value()
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             fm = value()
             flat[i] = orig
-            worst = max(worst, rel_err(np.float64((fp - fm) / (2 * h)),
+            worst = max(worst, rel_err(np.float64((fp - fm) / (2 * FD_STEP)),
                                        np.float64(ana_flat[i])))
     return worst
 
@@ -179,9 +178,9 @@ def op_suite(seeds=range(10), tol_override: float | None = None):
     return list(worst.values())
 
 
-def layer_checks(seed: int = 0):
+def layer_checks():
     """Gradient checks for layer compositions and the model's loss pieces."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     results = []
 
     l1 = DenseLayer(4, 6, activation="relu", rng=rng)
@@ -212,7 +211,7 @@ def layer_checks(seed: int = 0):
     results.append(CheckResult("softmax-cross-entropy",
                                rel_err(logits.grad, expected), 1e-8))
 
-    drop = Dropout(0.4, rng=np.random.default_rng(seed))
+    drop = Dropout(0.4, rng=np.random.default_rng(0))
     dx = Tensor(rng.uniform(0.5, 1.5, (4, 5)), requires_grad=True)
     dx.zero_grad()
     with fresh_tape():
@@ -237,8 +236,8 @@ def layer_checks(seed: int = 0):
         lambda: normalized_entropy(simplex), [simplex]), 1e-5))
 
     small = ModelConfig(bands=6, num_classes=2, abundance_dim=4, encoder_hidden=[7, 5])
-    enc = Encoder(small, rng=np.random.default_rng(seed + 1))
-    dec = AffineDecoder(small, rng=np.random.default_rng(seed + 2))
+    enc = Encoder(small, rng=np.random.default_rng(1))
+    dec = AffineDecoder(small, rng=np.random.default_rng(2))
     ex = Tensor(rng.uniform(0.1, 1.0, (4, 6)))
     et = Tensor(rng.uniform(0.1, 1.0, (4, 6)))
     enc_params = [t for _, t in enc.parameters()] + [t for _, t in dec.parameters()]
@@ -246,12 +245,12 @@ def layer_checks(seed: int = 0):
     def recon_loss():
         a_s, a_t = enc.encode(ex), enc.encode(et)
         return reconstruction_loss(dec.decode_source(a_s), ex,
-                                   dec.decode_target(a_t), et)
+                                   dec.basis(a_t), et)
 
     results.append(CheckResult("encode-decode", fd_check(recon_loss, enc_params),
                                1e-5))
 
-    disc = MiDiscriminator(small, rng=np.random.default_rng(seed + 3))
+    disc = MiDiscriminator(small, rng=np.random.default_rng(3))
     neg = shuffle_negatives(ex, 7)
     mi_params = [t for _, t in disc.parameters()]
 
@@ -263,27 +262,28 @@ def layer_checks(seed: int = 0):
     return results
 
 
-def composite_check(seed: int = 3, max_coords: int = 10) -> CheckResult:
+def composite_check() -> CheckResult:
     """FD check of the training gradient on a tiny end-to-end model.
 
     The analytic gradient is the backward of the combined objective, exactly
     as the trainer computes it. Each parameter is checked against the
     objective that trains it: classifier tensors against the classification
     loss, every other tensor against the unmixing terms (total minus LS).
-    Every parameter tensor is probed at a deterministic coordinate subsample;
-    dropout is disabled so the loss is a fixed function of the parameters.
+    Every parameter tensor is probed at a deterministic subsample of ten
+    coordinates; dropout is disabled so the loss is a fixed function of the
+    parameters.
     """
     spec = SynthSpec(classes=3, abundance_dim=4, bands=8, pixels_per_class=36,
-                     noise_sigma=0.005, seed=seed)
+                     noise_sigma=0.005, seed=3)
     source, target, _ = generate_synthetic_pair(spec)
     model_cfg = ModelConfig(bands=8, num_classes=3, abundance_dim=4,
                             encoder_hidden=[7, 6], patch_size=5,
                             block_channels=[2, 2, 2, 2, 2], dropout_rate=0.0)
-    train_cfg = TrainConfig(alpha=0.01, mi_weight=0.1, seed=seed,
+    train_cfg = TrainConfig(alpha=0.01, mi_weight=0.1, seed=3,
                             label_fraction=0.5, epochs=0)
-    state = ModelState(model_cfg, train_cfg, seed=seed)
+    state = ModelState(model_cfg, train_cfg, seed=3)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     xs = source.pixels()[rng.choice(source.pixels().shape[0], 6, replace=False)]
     xt = target.pixels()[rng.choice(target.pixels().shape[0], 6, replace=False)]
     labeled = np.argwhere(source.labels > 0)
@@ -292,14 +292,12 @@ def composite_check(seed: int = 3, max_coords: int = 10) -> CheckResult:
     labels = source.labels[centers[:, 0], centers[:, 1]] - 1
 
     def build():
-        loss, _ = compute_losses(state, xs, xt, patches, labels, train_cfg,
-                                 mi_seed=11, train=True)
+        loss, _ = compute_losses(state, xs, xt, patches, labels, train_cfg, mi_seed=11)
         return loss
 
     def parts():
         with fresh_tape():
-            return compute_losses(state, xs, xt, patches, labels, train_cfg,
-                                  mi_seed=11, train=True)[1]
+            return compute_losses(state, xs, xt, patches, labels, train_cfg, mi_seed=11)[1]
 
     def unmixing() -> float:
         p = parts()
@@ -311,7 +309,7 @@ def composite_check(seed: int = 3, max_coords: int = 10) -> CheckResult:
     named = state.parameters()
     objectives = [classification if name.startswith("clf.") else unmixing
                   for name, _ in named]
-    err = fd_check(build, [t for _, t in named], max_coords=max_coords,
+    err = fd_check(build, [t for _, t in named], max_coords=10,
                    objectives=objectives)
     return CheckResult("composite-objective", err, 1e-4)
 

@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from .config import ModelConfig
 
 DERANGEMENT_TRIES = 16
+MI_HIDDEN = 13  # width of the one hidden layer
 
 
 class MiDiscriminator:
@@ -30,8 +31,8 @@ class MiDiscriminator:
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         in_dim = cfg.bands + cfg.abundance_dim
-        self.dense0 = DenseLayer(in_dim, cfg.mi_hidden, activation="relu", rng=rng)
-        self.dense1 = DenseLayer(cfg.mi_hidden, 1, activation="none", rng=rng)
+        self.dense0 = DenseLayer(in_dim, MI_HIDDEN, activation="relu", rng=rng)
+        self.dense1 = DenseLayer(MI_HIDDEN, 1, activation="none", rng=rng)
 
     def score(self, x: Tensor, a: SimplexBatch) -> Tensor:
         if x.shape[0] != a.shape[0]:

@@ -99,8 +99,8 @@ class ModelState:
         for _, t in self.parameters():
             t.zero_grad()
 
-    def adam_update(self, lr: float, b1: float = 0.9, b2: float = 0.999,
-                    eps: float = 1e-8):
+    def adam_update(self, lr: float):
+        b1, b2, eps = 0.9, 0.999, 1e-8
         self.step += 1
         for name, t in self.parameters():
             g = t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -115,8 +115,8 @@ class ModelState:
 
 def compute_losses(state: ModelState, x_source: np.ndarray, x_target: np.ndarray,
                    patches: np.ndarray, patch_labels: np.ndarray,
-                   cfg: TrainConfig, mi_seed: int, train: bool = True):
-    """One forward pass of the combined objective.
+                   cfg: TrainConfig, mi_seed: int):
+    """One training-mode forward pass of the combined objective.
 
     Returns (loss tensor, components dict). Component values are logged
     unweighted except the MI column, which carries -mi_weight * bound (the
@@ -156,7 +156,7 @@ def compute_losses(state: ModelState, x_source: np.ndarray, x_target: np.ndarray
     # abundances, so only the unmixing terms above train the encoder
     with no_grad() if cfg.use_reconstruction else nullcontext():
         patch_batch = encode_patches(state.encoder, patches)
-    logits = state.classifier.logits(patch_batch, train=train)
+    logits = state.classifier.logits(patch_batch, train=True)
     ls = classification_loss(
         logits, Tensor(one_hot(patch_labels, state.model_cfg.num_classes)))
     parts["LS"] = ls.item()
@@ -346,7 +346,7 @@ def run_ablation(model_cfg: ModelConfig, base_cfg: TrainConfig,
 
     A variant's scores are those of its final training evaluation, which
     covers every labeled pixel of both domains, so the target needs labeled
-    pixels and training at least one epoch.
+    pixels, training at least one epoch, and each variant named once.
     """
     if target.num_classes() == 0:
         raise ContractError("ablation scores the target domain; the target cube "
@@ -354,6 +354,8 @@ def run_ablation(model_cfg: ModelConfig, base_cfg: TrainConfig,
     if base_cfg.epochs < 1:
         raise ConfigError("ablation scores each variant by its final training "
                           "evaluation; train.epochs must be >= 1")
+    if len(set(variants)) < len(variants):
+        raise ConfigError(f"ablation names a variant twice: {', '.join(variants)}")
     cfgs = [replace(base_cfg, variant=name) for name in variants]
     rows = []
     for name, cfg in zip(variants, cfgs):
@@ -459,14 +461,16 @@ def load_checkpoint(path) -> ModelState:
     """Rebuild a ModelState whose forward outputs match the saved one exactly.
 
     The file must hold exactly the records ``checkpoint_records`` lists for
-    the state its ``cfg.*`` records describe, each once and every value
-    finite; any other file is a ParseError.
+    the state its ``cfg.*`` records describe, each once, every value finite
+    and the step at least 0; any other file is a ParseError.
     """
     rec = _read_records(path)
     try:
         train_cfg = from_records(TrainConfig, rec)
         state = ModelState(from_records(ModelConfig, rec), train_cfg, seed=train_cfg.seed)
         state.step = record_value("step", int, rec["step"])
+        if state.step < 0:
+            raise ParseError(f"record step must be >= 0, got {state.step}")
         records = checkpoint_records(state)
         names = {name for name, _ in records}
         for name in rec:

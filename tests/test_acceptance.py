@@ -223,15 +223,15 @@ def test_criterion_05_affine_decoder_structure():
     rng = np.random.default_rng(11)
     raw = rng.uniform(0.05, 1.0, (6, 4))
     a = SimplexBatch(Tensor(raw / raw.sum(axis=1, keepdims=True)))
-    xs0, xt0 = dec.decode_source(a).data.copy(), dec.decode_target(a).data.copy()
+    xs0, xt0 = dec.decode_source(a).data.copy(), dec.basis(a).data.copy()
     dec.basis_out.weight.data[0, 0] += 0.25
     assert not np.allclose(dec.decode_source(a).data, xs0)
-    assert not np.allclose(dec.decode_target(a).data, xt0)
-    xs1, xt1 = dec.decode_source(a).data.copy(), dec.decode_target(a).data.copy()
+    assert not np.allclose(dec.basis(a).data, xt0)
+    xs1, xt1 = dec.decode_source(a).data.copy(), dec.basis(a).data.copy()
     dec.src_scale.data[0] += 0.25
     dec.src_offset.data[0] -= 0.1
     assert not np.allclose(dec.decode_source(a).data, xs1)
-    npt.assert_array_equal(dec.decode_target(a).data, xt1)
+    npt.assert_array_equal(dec.basis(a).data, xt1)
 
     # trained on a noiseless pair, the cross-domain band map is affine
     source, target, _ = generate_synthetic_pair(SynthSpec(noise_sigma=0.0))
@@ -241,7 +241,7 @@ def test_criterion_05_affine_decoder_structure():
     with no_grad():
         a = state.encoder.encode(Tensor(source.pixels()[:512]))
         xs = state.decoder.decode_source(a).data
-        xt = state.decoder.decode_target(a).data
+        xt = state.decoder.basis(a).data
     for band in range(xs.shape[1]):
         s, t = xs[:, band], xt[:, band]
         slope, intercept = np.polyfit(s, t, 1)

@@ -1,5 +1,8 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -8,6 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import pctl
 from pctl.cli import main
 from pctl.config import SECTIONS, ModelConfig, RunConfig, resolved_text, settable
 from pctl.data import HsiCube, SynthSpec, read_cube, read_labels, write_cube, write_labels
@@ -158,8 +162,6 @@ class TestGenSynth:
     @pytest.mark.parametrize("setting, named", [
         ("noise_sigma = nan", "noise_sigma"), ("noise_sigma = inf", "noise_sigma"),
         ("bands = 0", "bands"), ("seed = -1", "seed"),
-        ("concentration_peak = nan", "concentration_peak"),
-        ("concentration_base = nan", "concentration_base"),
         ("scale = nan", "scale"), ("scale = 0", "scale"), ("offset = inf", "offset")])
     def test_a_bad_value_exits_2_and_names_it(self, tmp_path, capsys, setting, named):
         lines = [line for line in SYNTH_CFG.splitlines()
@@ -172,11 +174,13 @@ class TestGenSynth:
         assert not out.exists()
 
     def test_the_removed_envelope_weight_is_an_unknown_key(self, tmp_path, capsys):
+        # so are the Dirichlet weights, now constants of the generator
         spec = tmp_path / "synth.cfg"
-        spec.write_text(SYNTH_CFG + "synth.envelope_weight = 0.0\n")
-        err = assert_usage_error(capsys, ["gen-synth", "--spec", str(spec),
-                                          "--out", str(tmp_path / "data")])
-        assert "unknown key 'synth.envelope_weight'" in err
+        for key in ("envelope_weight", "concentration_peak", "concentration_base"):
+            spec.write_text(SYNTH_CFG + f"synth.{key} = 0.0\n")
+            err = assert_usage_error(capsys, ["gen-synth", "--spec", str(spec),
+                                              "--out", str(tmp_path / "data")])
+            assert f"unknown key 'synth.{key}'" in err
 
     def test_resolved_config_regenerates_identical_bytes(self, scene, tmp_path):
         spec = scene / "data" / "resolved-config.txt"
@@ -310,8 +314,8 @@ class TestTrain:
     @pytest.mark.parametrize("setting", [
         "train.learning_rate=-1", "train.learning_rate=nan", "train.alpha=nan",
         "train.eval_every=-1", "train.eval_every=0", "train.seed=-1", "train.variant=bogus",
-        "model.mi_hidden=-1", "model.encoder_hidden=-2 3", "model.block_channels=-1 2 2 2 2",
-        "model.mi_hidden=0", "model.encoder_hidden=0 3", "model.block_channels=0 0 0 0 0"])
+        "model.encoder_hidden=-2 3", "model.block_channels=-1 2 2 2 2",
+        "model.encoder_hidden=0 3", "model.block_channels=0 0 0 0 0"])
     def test_a_bad_rate_or_width_exits_2(self, scene, tmp_path, capsys, setting):
         out = tmp_path / "run"
         assert_usage_error(capsys, ["train", "--source", str(scene / "data/source.hsic"),
@@ -334,12 +338,14 @@ class TestTrain:
         assert rows and all(row.endswith(",") for row in rows)
 
     def test_unknown_config_key_exits_2(self, scene, tmp_path, capsys):
-        code = main(["train", "--source", str(scene / "data/source.hsic"),
-                     "--target", str(scene / "data/target.hsic"),
-                     "--out", str(tmp_path / "x"),
-                     "--set", "train.typo_key=1"])
-        assert code == 2
-        assert "typo_key" in capsys.readouterr().err
+        # model.mi_hidden is now a constant of the MI discriminator
+        for key in ("train.typo_key", "model.mi_hidden"):
+            code = main(["train", "--source", str(scene / "data/source.hsic"),
+                         "--target", str(scene / "data/target.hsic"),
+                         "--out", str(tmp_path / "x"),
+                         "--set", f"{key}=13"])
+            assert code == 2
+            assert f"unknown key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["classifier_only", "shared_decoder_only",
                                      "no_sparse", "no_mi"])
@@ -365,6 +371,9 @@ class TestPredictEvaluate:
         (replaced("cfg.beta_mode", [0.0, 0.0]), "checkpoint has record cfg.beta_mode, which "
          "this version does not write for its settings; retrain the model"),
         (replaced("step", [4.0, 4.0]), "record step must be a scalar"),
+        (replaced("step", -1.0), "record step must be >= 0, got -1"),
+        (replaced("cfg.mi_hidden", 13.0), "checkpoint has record cfg.mi_hidden, which "
+         "this version does not write for its settings; retrain the model"),
         (replaced("cfg.bands", [], (2 ** 31, 2 ** 31, 4)), "truncated record at byte offset"),
         (replaced("cfg.bands", [], (2 ** 32 - 1, 2 ** 32 - 1)), "truncated record at byte offset"),
         (duplicated("step"), "checkpoint has record step twice"),
@@ -374,6 +383,7 @@ class TestPredictEvaluate:
          "write for its settings; retrain the model")],
         ids=["two-epochs", "block-channels-2d", "fractional-width", "variant-minus-one",
              "fractional-variant", "fractional-patch-size", "two-beta-modes", "two-steps",
+             "negative-step", "mi-hidden",
              "dims-2^31x2^31x4", "dims-(2^32-1)^2", "duplicate-record", "nan-encoder-bias",
              "nan-head-bias", "target-pair"])
     def test_a_malformed_record_exits_2(self, scene, trained, tmp_path, capsys, edit, named):
@@ -674,7 +684,7 @@ class TestRunConfig:
         assert set(settable(ModelConfig)) == names(ModelConfig) - {"bands", "num_classes"}
         assert set(settable(SynthSpec)) == names(SynthSpec)
         assert [len(settable(c)) for c in (TrainConfig, ModelConfig, SynthSpec)] == \
-            [12, 7, 10]
+            [12, 6, 8]
 
     def test_readme_table_lists_the_settable_keys(self):
         # each row names its keys in field order; parenthesized notes may
@@ -700,3 +710,18 @@ class TestRunConfig:
         assert cfg.model_config(bands=30, num_classes=4) == model_cfg
         assert cfg.train_config() == train_cfg
         assert resolved_text(cfg.synth_spec()) == resolved_text(spec)
+
+
+class TestThreadCaps:
+    @pytest.mark.parametrize("imports, warned", [
+        ("import numpy, pctl", True), ("import pctl, numpy", False)])
+    def test_pctl_threads_warns_when_numpy_came_first(self, imports, warned):
+        caps = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in caps}
+        env["PCTL_THREADS"] = "1"
+        env["PYTHONPATH"] = str(Path(pctl.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", f"{imports}; import os; print(os.environ['OMP_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, check=True)
+        assert run.stdout == "1\n"
+        assert ("RuntimeWarning: PCTL_THREADS does not cap" in run.stderr) == warned, run.stderr

@@ -90,7 +90,6 @@ class TestConfigs:
         pytest.param("encoder_hidden", [], id="no_hidden_widths"),
         pytest.param("encoder_hidden", [6, 0], id="zero_hidden_width"),
         pytest.param("block_channels", [2, 2, -1, 2, 2], id="negative_block_width"),
-        pytest.param("mi_hidden", 0, id="zero_mi_width"),
     ])
     def test_bad_model_config_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -375,7 +374,7 @@ class TestCheckpoint:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_configs_survive_round_trip(self, tmp_path):
-        model_cfg = tiny_model(stick_transform="standard", mi_hidden=7, dropout_rate=0.25)
+        model_cfg = tiny_model(stick_transform="standard", dropout_rate=0.25)
         common = dict(alpha=0.002, mi_weight=0.2, learning_rate=2e-3, batch_recon=16,
                       batch_class=4, epochs=1, steps_per_epoch=2, seed=3,
                       label_fraction=0.3, eval_every=3, eval_samples=9)
@@ -394,7 +393,6 @@ class TestCheckpoint:
             assert loaded.train_cfg == state.train_cfg
         # the last variant builds every module, and each reads its settings
         assert loaded.decoder.src_scale.shape == loaded.decoder.src_offset.shape == (10,)
-        assert loaded.mi_disc.dense0.out_dim == 7
         assert dict(loaded.parameters())["enc.beta_raw"].shape == (4,)
         assert loaded.classifier.dropout.rate == 0.25
 
@@ -485,6 +483,9 @@ class TestAblation:
         with pytest.raises(ConfigError, match="nonsense"):
             run_ablation(tiny_model(), tiny_train(), source, target,
                          variants=("full", "nonsense"))
+        with pytest.raises(ConfigError, match="twice: full, sparse, full"):
+            run_ablation(tiny_model(), tiny_train(), source, target,
+                         variants=("full", "sparse", "full"))
 
     def test_variant_structure_column(self):
         source, target, _ = tiny_scene()

@@ -15,7 +15,10 @@ paths, so that what they print does not name the side:
   the resumed checkpoint, an ablate of all five variants, inspect-decoder and
   project2d;
 - predict --probs-csv from the parent side's run/model.pctl, so that
-  inference is compared on one checkpoint even when training differs;
+  inference is compared on one checkpoint even when training differs. A
+  checkpoint loads only with exactly the records its reader writes, so this
+  command fails on the change side whenever the change drops or adds a
+  checkpoint record;
 - gradcheck --seeds 2.
 
 Every file the commands write is compared, and so is each command's exit code
