@@ -174,7 +174,7 @@ class TestGenSynth:
         assert not out.exists()
 
     def test_the_removed_envelope_weight_is_an_unknown_key(self, tmp_path, capsys):
-        # so are the Dirichlet weights, now constants of the generator
+        # the Dirichlet weights are constants of the generator, not keys
         spec = tmp_path / "synth.cfg"
         for key in ("envelope_weight", "concentration_peak", "concentration_base"):
             spec.write_text(SYNTH_CFG + f"synth.{key} = 0.0\n")
@@ -338,7 +338,7 @@ class TestTrain:
         assert rows and all(row.endswith(",") for row in rows)
 
     def test_unknown_config_key_exits_2(self, scene, tmp_path, capsys):
-        # model.mi_hidden is now a constant of the MI discriminator
+        # the MI discriminator's width is a constant, not a key
         for key in ("train.typo_key", "model.mi_hidden"):
             code = main(["train", "--source", str(scene / "data/source.hsic"),
                          "--target", str(scene / "data/target.hsic"),
