@@ -83,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-per-class", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("inspect-decoder", help="dump the learned source affine pair as CSV")
     p.add_argument("--checkpoint", required=True)
@@ -132,7 +130,7 @@ def cmd_train(args) -> int:
     target = read_cube(_require_file(args.target, "target cube"))
     if source.labels is None:
         raise ConfigError(f"source cube {args.source} has no sibling label file")
-    cfg = RunConfig(args.config, args.set)
+    cfg = RunConfig(args.config, args.set, sections=("train", "model"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.resume:
@@ -206,7 +204,7 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     source = read_cube(_require_file(args.source, "source cube"))
     target = read_cube(_require_file(args.target, "target cube"))
-    cfg = RunConfig(args.config, args.set)
+    cfg = RunConfig(args.config, args.set, sections=("train", "model"))
     train_cfg = cfg.train_config()
     model_cfg = cfg.model_config(bands=source.bands, num_classes=source.num_classes())
     out = Path(args.out)
@@ -228,27 +226,17 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _labeled_subsample(cube, cap: int, rng):
+def _labeled_by_class(cube):
+    """Centers and labels of every labeled pixel, grouped by class."""
     centers = np.argwhere(cube.labels > 0)
     labels = cube.labels[centers[:, 0], centers[:, 1]]
-    keep = []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        if len(idx) > cap:
-            idx = np.sort(rng.choice(idx, cap, replace=False))
-        keep.append(idx)
-    keep = np.concatenate(keep)
-    return centers[keep], labels[keep]
+    order = np.argsort(labels, kind="stable")
+    return centers[order], labels[order]
 
 
 def cmd_project2d(args) -> int:
     from .trainer import abundance_map
 
-    if args.max_per_class < 2:
-        # each overlap score divides by a within-class spread, which needs two points
-        raise ConfigError(f"--max-per-class must be >= 2, got {args.max_per_class}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     state = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     source = read_cube(_require_file(args.source, "source cube"))
     target = read_cube(_require_file(args.target, "target cube"))
@@ -259,9 +247,8 @@ def cmd_project2d(args) -> int:
             raise DataMismatchError(
                 f"{name} cube has {cube.bands} bands, model expects "
                 f"{state.model_cfg.bands}")
-    rng = np.random.default_rng(args.seed)
-    src_centers, src_labels = _labeled_subsample(source, args.max_per_class, rng)
-    tgt_centers, tgt_labels = _labeled_subsample(target, args.max_per_class, rng)
+    src_centers, src_labels = _labeled_by_class(source)
+    tgt_centers, tgt_labels = _labeled_by_class(target)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

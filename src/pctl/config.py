@@ -106,6 +106,9 @@ class TrainConfig:
             raise ConfigError("learning_rate must be finite and > 0")
         if min(self.epochs, self.seed) < 0:
             raise ConfigError("epochs and seed must be >= 0")
+        if self.seed > 2 ** 53:
+            # a checkpoint stores the seed as float64, which holds whole numbers exactly up to here
+            raise ConfigError(f"seed must be <= 2**53, got {self.seed}")
         if min(self.eval_every, self.steps_per_epoch) < 1:
             raise ConfigError("eval_every and steps_per_epoch must be >= 1")
         if min(self.batch_recon, self.batch_class, self.eval_samples) < 1:

@@ -163,8 +163,6 @@ def _op_checks(seed: int):
 
     yield ("concat_into", 1e-6, grown_prefix, [pre, piece])
 
-    return
-
 
 def op_suite(seeds=range(10), tol_override: float | None = None):
     """Run the per-op checks across seeds, keeping the worst error per op."""
@@ -292,12 +290,12 @@ def composite_check() -> CheckResult:
     labels = source.labels[centers[:, 0], centers[:, 1]] - 1
 
     def build():
-        loss, _ = compute_losses(state, xs, xt, patches, labels, train_cfg, mi_seed=11)
+        loss, _ = compute_losses(state, xs, xt, patches, labels, mi_seed=11)
         return loss
 
     def parts():
         with fresh_tape():
-            return compute_losses(state, xs, xt, patches, labels, train_cfg, mi_seed=11)[1]
+            return compute_losses(state, xs, xt, patches, labels, mi_seed=11)[1]
 
     def unmixing() -> float:
         p = parts()

@@ -32,7 +32,6 @@ class DenseLayer:
         if activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}")
         self.in_dim = in_dim
-        self.out_dim = out_dim
         self.activation = activation
         self.weight = Tensor(glorot_uniform(rng, (in_dim, out_dim), in_dim, out_dim),
                              requires_grad=True)

@@ -26,10 +26,6 @@ class ConfusionMatrix:
         self.counts = counts
 
     @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 

@@ -13,6 +13,7 @@ in the metrics log.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from contextlib import nullcontext
@@ -53,12 +54,23 @@ from .errors import (
 from .layers import one_hot
 from .metrics import ConfusionMatrix, confusion, oa_aa_kappa
 from .mi import MiDiscriminator, mi_loss
-from .rng import StreamSet
 
 CHECKPOINT_MAGIC = b"PCTL"
 CHECKPOINT_VERSION = 1
 # pixels encoded per call when mapping a whole cube
 ENCODE_CHUNK = 4096
+# the loss components of a step, in metrics.csv column order
+LOSS_COLUMNS = ("L2", "LH", "LI", "LS", "total")
+
+
+def stream(seed: int, name: str) -> np.random.Generator:
+    """Deterministic generator for (seed, name).
+
+    Each consumer (init, dropout, batch, shuffle, eval, split) draws from its
+    own stream, so toggling one never perturbs the draws of the others.
+    """
+    key = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "little")
+    return np.random.default_rng(np.random.SeedSequence([int(seed), key]))
 
 
 class ModelState:
@@ -67,8 +79,7 @@ class ModelState:
     def __init__(self, model_cfg: ModelConfig, train_cfg: TrainConfig, seed: int):
         self.model_cfg = model_cfg
         self.train_cfg = train_cfg
-        streams = StreamSet(seed)
-        init = streams.get("init")
+        init = stream(seed, "init")
         self.encoder = Encoder(model_cfg, rng=init)
         if not train_cfg.use_reconstruction:
             self.decoder = None
@@ -78,7 +89,7 @@ class ModelState:
             self.decoder = AffineDecoder(model_cfg, rng=init)
         self.mi_disc = MiDiscriminator(model_cfg, rng=init) if train_cfg.use_mi else None
         self.classifier = Classifier3d(model_cfg, rng=init,
-                                       dropout_rng=streams.get("dropout"))
+                                       dropout_rng=stream(seed, "dropout"))
         self.step = 0
         self.adam_m = {name: np.zeros_like(t.data) for name, t in self.parameters()}
         self.adam_v = {name: np.zeros_like(t.data) for name, t in self.parameters()}
@@ -114,9 +125,9 @@ class ModelState:
 # -- loss composition -----------------------------------------------------------
 
 def compute_losses(state: ModelState, x_source: np.ndarray, x_target: np.ndarray,
-                   patches: np.ndarray, patch_labels: np.ndarray,
-                   cfg: TrainConfig, mi_seed: int):
-    """One training-mode forward pass of the combined objective.
+                   patches: np.ndarray, patch_labels: np.ndarray, mi_seed: int):
+    """One training-mode forward pass of the combined objective, under the
+    state's ``train_cfg``.
 
     Returns (loss tensor, components dict). Component values are logged
     unweighted except the MI column, which carries -mi_weight * bound (the
@@ -127,6 +138,7 @@ def compute_losses(state: ModelState, x_source: np.ndarray, x_target: np.ndarray
     the classifier through LS only. The classifier-only ablation keeps the
     end-to-end encoder, which LS then trains.
     """
+    cfg = state.train_cfg
     parts: dict[str, float] = {}
     total = None
 
@@ -162,8 +174,8 @@ def compute_losses(state: ModelState, x_source: np.ndarray, x_target: np.ndarray
     parts["LS"] = ls.item()
     accumulate(ls)
 
-    for name in ("L2", "LH", "LI", "LS"):
-        if name in parts and not np.isfinite(parts[name]):
+    for name, value in parts.items():
+        if not np.isfinite(value):
             raise DivergenceError(f"loss component {name} became non-finite "
                                   f"at step {state.step}")
     parts["total"] = total.item()
@@ -200,12 +212,12 @@ def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig)
             f"({state.model_cfg.bands})")
     state.train_cfg = cfg
 
-    streams = StreamSet(cfg.seed)
-    batch_rng = streams.get("batch")
-    shuffle_rng = streams.get("shuffle")
-    eval_rng = streams.get("eval")
+    batch_rng = stream(cfg.seed, "batch")
+    shuffle_rng = stream(cfg.seed, "shuffle")
+    eval_rng = stream(cfg.seed, "eval")
 
-    train_mask, _ = split_labels(source, cfg.label_fraction, streams.get("split").integers(2 ** 32))
+    train_mask, _ = split_labels(source, cfg.label_fraction,
+                                 stream(cfg.seed, "split").integers(2 ** 32))
     train_centers = np.argwhere(train_mask)
     train_labels = source.labels[train_mask] - 1  # zero-based for one-hot
 
@@ -245,7 +257,7 @@ def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig)
                 with fresh_tape():
                     loss, parts = compute_losses(
                         state, src_pixels[idx_s], tgt_pixels[idx_t],
-                        patches, train_labels[pick], cfg, mi_seed)
+                        patches, train_labels[pick], mi_seed)
                     loss.backward()
             except DomainError as exc:
                 # exploding parameters surface as NaN/inf inside the forward
@@ -255,8 +267,7 @@ def train(state: ModelState, source: HsiCube, target: HsiCube, cfg: TrainConfig)
             state.adam_update(cfg.learning_rate)
 
         final = epoch == cfg.epochs
-        row = {"epoch": epoch, **{k: parts.get(k, float("nan"))
-                                  for k in ("L2", "LH", "LI", "LS", "total")}}
+        row = {"epoch": epoch, **{k: parts.get(k, float("nan")) for k in LOSS_COLUMNS}}
         if final or epoch % cfg.eval_every == 0:
             try:
                 for name, cube, every, sub in evals:
@@ -372,7 +383,7 @@ def run_ablation(model_cfg: ModelConfig, base_cfg: TrainConfig,
 
 # -- metrics CSV ---------------------------------------------------------------------
 
-METRIC_COLUMNS = ("epoch", "L2", "LH", "LI", "LS", "total", "source_oa", "target_oa")
+METRIC_COLUMNS = ("epoch", *LOSS_COLUMNS, "source_oa", "target_oa")
 
 
 def format_metrics_csv(rows) -> str:

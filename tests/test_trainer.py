@@ -132,7 +132,7 @@ class TestLossComposition:
         centers = np.argwhere(source.labels > 0)[:6]
         patches = extract_patches(source.reflectance, centers, 3)
         labels = source.labels[centers[:, 0], centers[:, 1]] - 1
-        loss, parts = compute_losses(state, xs, xt, patches, labels, cfg, mi_seed=4)
+        loss, parts = compute_losses(state, xs, xt, patches, labels, mi_seed=4)
         expected = parts["L2"] + cfg.alpha * parts["LH"] + parts["LI"] + parts["LS"]
         npt.assert_allclose(loss.item(), expected, atol=1e-10)
         npt.assert_allclose(loss.item(), parts["total"], atol=1e-15)
@@ -148,7 +148,7 @@ class TestLossComposition:
         centers = np.argwhere(source.labels > 0)[:4]
         patches = extract_patches(source.reflectance, centers, 3)
         labels = source.labels[centers[:, 0], centers[:, 1]] - 1
-        loss, parts = compute_losses(state, xs, xt, patches, labels, cfg, mi_seed=0)
+        loss, parts = compute_losses(state, xs, xt, patches, labels, mi_seed=0)
         assert set(parts) == {"L2", "LS", "total"}
         npt.assert_allclose(loss.item(), parts["L2"] + parts["LS"], atol=1e-12)
 
@@ -163,7 +163,7 @@ class TestLossComposition:
         patches = extract_patches(source.reflectance, centers, 3)
         labels = source.labels[centers[:, 0], centers[:, 1]] - 1
         _, parts = compute_losses(state, source.pixels()[:8], target.pixels()[:8],
-                                  patches, labels, cfg, mi_seed=0)
+                                  patches, labels, mi_seed=0)
         assert set(parts) == {"LS", "total"}
 
     def test_shared_decoder_has_no_affine_parameters(self):
