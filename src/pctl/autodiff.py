@@ -12,10 +12,11 @@ of primitives computing the same values would.
 
 A tensor's data, and a gradient a backward rule returns, may be a view: the
 shape is the contract, not the memory layout. ``conv3d`` returns its output
-as a [N, C, D, H, W] view of channels-last memory, and ``concat_into``
-returns a channel-prefix view of a buffer its caller owns. Data is never
-changed once a node has recorded it; ``relu`` and ``batch_norm`` overwrite
-their input only when the caller allows it and no node records the op.
+as a [N, C, D, H, W] view of channels-last memory, ``concat`` given a
+buffer returns a channel-prefix view of it, and ``concat``'s backward returns
+channel views of g. Data is never changed once a node has recorded it;
+``relu`` and ``batch_norm`` overwrite their input only when the caller allows
+it and no node records the op.
 """
 
 from __future__ import annotations
@@ -335,47 +336,41 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
                  lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = list(tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.ascontiguousarray(piece)
-                     for piece in np.split(g, bounds, axis=axis))
-
-    return _make("concat", np.concatenate([t.data for t in tensors], axis=axis),
-                 tuple(tensors), bwd)
-
-
 def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
     return (a.shape == b.shape and a.strides == b.strides
             and a.__array_interface__["data"][0] == b.__array_interface__["data"][0])
 
 
-def concat_into(tensors: Sequence[Tensor], out: np.ndarray) -> Tensor:
+def concat(tensors: Sequence[Tensor], out: Optional[np.ndarray] = None) -> Tensor:
     """The concatenation of ``tensors`` along axis 1, as a tensor whose data
-    is ``out`` itself, typically a channel-prefix view of a larger buffer.
+    is ``out``, or a fresh array when ``out`` is None.
 
-    Each tensor's data is copied into its channel slice of ``out`` unless it
+    ``out`` is typically a channel-prefix view of a larger buffer. Each
+    tensor's data is copied into its channel slice of ``out`` unless it
     already is that slice, so a prefix grown by one piece per call, with the
     previous prefix as the first tensor, copies each piece once. ``out`` must
     hold no other live tensor's data. The backward splits g by channel into
-    views, where ``concat``'s makes copies.
+    views.
     """
     tensors = list(tensors)
-    bounds = np.cumsum([0] + [t.shape[1] for t in tensors]).tolist()
     first = tensors[0].shape
     if any(t.data.ndim < 2 or t.shape[:1] + t.shape[2:] != first[:1] + first[2:]
-           for t in tensors) or out.shape != (first[0], bounds[-1], *first[2:]):
-        raise DimensionError(f"concat_into: pieces {[t.shape for t in tensors]} "
+           for t in tensors):
+        raise DimensionError(f"concat: pieces {[t.shape for t in tensors]} "
+                             f"do not join along axis 1")
+    bounds = np.cumsum([0] + [t.shape[1] for t in tensors]).tolist()
+    shape = (first[0], bounds[-1], *first[2:])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise DimensionError(f"concat: pieces {[t.shape for t in tensors]} "
                              f"do not fill {out.shape} along axis 1")
     slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     for t, channels in zip(tensors, slices):
         piece = out[:, channels]
         if not _same_memory(piece, t.data):
             piece[...] = t.data
-    return _make("concat_into", out, tuple(tensors),
+    return _make("concat", out, tuple(tensors),
                  lambda g: tuple(g[:, channels] for channels in slices))
 
 

@@ -9,11 +9,11 @@ has passed through the shared encoder.
 
 One call keeps that concatenation in a single dense buffer, channels-last
 in memory: the input and each block's output but the last are copied into
-their channel slice once, and block i reads a channel-prefix view of it
-(``autodiff.concat_into``). A block's conv output is itself a view of
-channels-last memory, which batchnorm and relu overwrite when no gradient is
-recorded, so an inference call holds about the buffer, one block output and
-conv3d's tiles.
+their channel slice once, by ``autodiff.concat`` with a channel prefix of
+the buffer as ``out``, and block i reads that prefix. A block's conv output
+is itself a view of channels-last memory, which batchnorm and relu overwrite
+when no gradient is recorded, so an inference call holds about the buffer,
+one block output and conv3d's tiles.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class Classifier3d:
         dense = np.empty((x.shape[0], c, p, p, widths[-1])).transpose(0, 4, 1, 2, 3)
         h = x
         for block, width in zip(self.blocks, widths[1:]):
-            h = ad.concat_into([h, block(h, train)], dense[:, :width])
+            h = ad.concat([h, block(h, train)], dense[:, :width])
         flat = ad.reshape(self.blocks[-1](h, train), (x.shape[0], -1))
         return self.head(self.dropout(flat, train))
 

@@ -131,8 +131,6 @@ def cmd_train(args) -> int:
     if source.labels is None:
         raise ConfigError(f"source cube {args.source} has no sibling label file")
     cfg = RunConfig(args.config, args.set, sections=("train", "model"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.resume:
         # settings start from the checkpoint's; the keys given override them
         state = load_checkpoint(_require_file(args.resume, "checkpoint"))
@@ -143,6 +141,8 @@ def cmd_train(args) -> int:
         model_cfg = cfg.model_config(bands=source.bands,
                                      num_classes=source.num_classes())
         state = ModelState(model_cfg, train_cfg, seed=train_cfg.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows = train(state, source, target, train_cfg)
     (out / "resolved-config.txt").write_text(resolved_text(state.model_cfg, train_cfg))
     save_checkpoint(state, out / "model.pctl")

@@ -113,6 +113,8 @@ class TrainConfig:
             raise ConfigError("eval_every and steps_per_epoch must be >= 1")
         if min(self.batch_recon, self.batch_class, self.eval_samples) < 1:
             raise ConfigError("batch_recon, batch_class and eval_samples must be >= 1")
+        if not 0 < self.label_fraction <= 1:
+            raise ConfigError(f"label_fraction must lie in (0, 1], got {self.label_fraction}")
         _check_choices(self)
 
     @property

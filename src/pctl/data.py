@@ -13,6 +13,7 @@ closed form.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +23,9 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ParseError
 
-CUBE_MAGIC = b"HSIC"
-LABEL_MAGIC = b"HSIL"
+# each grid format: magic, name in errors, number of u32 dims, payload dtype
+CUBE_FORMAT = (b"HSIC", "cube", 3, "<f4")
+LABEL_FORMAT = (b"HSIL", "label", 2, "<u2")
 LABEL_SUFFIX = ".hsil"
 MAX_VOXELS = 2 ** 31
 CONCENTRATION_PEAK = 10.0  # Dirichlet weight of a labeled pixel's own class component
@@ -77,69 +79,64 @@ class HsiCube:
 
 # -- binary formats ----------------------------------------------------------
 
+def _write_grid(path, fmt: tuple, grid: np.ndarray) -> None:
+    """Write ``grid`` in ``fmt``: magic, one u32 per axis, then the values."""
+    magic, _, ndim, dtype = fmt
+    header = magic + struct.pack(f"<{ndim}I", *grid.shape)
+    payload = grid.astype(dtype).tobytes()
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
+
+
+def _read_grid(path: Path, fmt: tuple) -> np.ndarray:
+    """The grid ``_write_grid`` wrote in ``fmt``, checked against its header."""
+    magic, kind, ndim, dtype = fmt
+    raw = path.read_bytes()
+    if raw[:4] != magic:
+        raise ParseError(f"{path}: bad {kind} magic at byte offset 0")
+    header = 4 + 4 * ndim
+    if len(raw) < header:
+        raise ParseError(f"{path}: truncated header at byte offset {len(raw)}")
+    dims = struct.unpack(f"<{ndim}I", raw[4:header])
+    count = math.prod(dims)
+    if count == 0 or count > MAX_VOXELS:
+        raise ParseError(f"{path}: dimension overflow at byte offset 4")
+    expected = header + np.dtype(dtype).itemsize * count
+    if len(raw) != expected:
+        raise ParseError(
+            f"{path}: payload ends at byte offset {len(raw)}, expected {expected}")
+    return np.frombuffer(raw, dtype=dtype, offset=header).reshape(dims)
+
+
 def write_cube(cube: HsiCube, path) -> None:
     """Write the cube (and labels, when present) next to each other."""
     path = Path(path)
-    payload = cube.reflectance.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(CUBE_MAGIC)
-        fh.write(struct.pack("<III", cube.height, cube.width, cube.bands))
-        fh.write(payload)
+    _write_grid(path, CUBE_FORMAT, cube.reflectance)
     if cube.labels is not None:
         write_labels(cube.labels, path.with_suffix(LABEL_SUFFIX))
 
 
 def write_labels(labels: np.ndarray, path) -> None:
-    labels = np.asarray(labels)
-    h, w = labels.shape
-    with open(path, "wb") as fh:
-        fh.write(LABEL_MAGIC)
-        fh.write(struct.pack("<II", h, w))
-        fh.write(labels.astype("<u2").tobytes())
+    _write_grid(path, LABEL_FORMAT, np.asarray(labels))
 
 
 def read_cube(path) -> HsiCube:
     """Read a cube; a sibling label file is attached when it exists."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 4 or raw[:4] != CUBE_MAGIC:
-        raise ParseError(f"{path}: bad cube magic at byte offset 0")
-    if len(raw) < 16:
-        raise ParseError(f"{path}: truncated header at byte offset {len(raw)}")
-    h, w, l = struct.unpack("<III", raw[4:16])
-    voxels = h * w * l
-    if voxels == 0 or voxels > MAX_VOXELS:
-        raise ParseError(f"{path}: dimension overflow at byte offset 4")
-    expected = 16 + 4 * voxels
-    if len(raw) != expected:
-        raise ParseError(
-            f"{path}: payload ends at byte offset {len(raw)}, expected {expected}")
-    data = np.frombuffer(raw, dtype="<f4", offset=16).reshape(h, w, l)
-    labels = None
+    data = _read_grid(path, CUBE_FORMAT)
     label_path = path.with_suffix(LABEL_SUFFIX)
-    if label_path.exists():
-        labels = read_labels(label_path, expect_shape=(h, w))
+    labels = read_labels(label_path, data.shape[:2]) if label_path.exists() else None
     return HsiCube(data.astype(np.float64), labels)
 
 
 def read_labels(path, expect_shape=None) -> np.ndarray:
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 4 or raw[:4] != LABEL_MAGIC:
-        raise ParseError(f"{path}: bad label magic at byte offset 0")
-    if len(raw) < 12:
-        raise ParseError(f"{path}: truncated header at byte offset {len(raw)}")
-    h, w = struct.unpack("<II", raw[4:12])
-    if h * w == 0 or h * w > MAX_VOXELS:
-        raise ParseError(f"{path}: dimension overflow at byte offset 4")
-    expected = 12 + 2 * h * w
-    if len(raw) != expected:
-        raise ParseError(
-            f"{path}: payload ends at byte offset {len(raw)}, expected {expected}")
-    if expect_shape is not None and (h, w) != expect_shape:
-        raise ParseError(f"{path}: label grid {(h, w)} does not match cube "
+    labels = _read_grid(path, LABEL_FORMAT)
+    if expect_shape is not None and labels.shape != expect_shape:
+        raise ParseError(f"{path}: label grid {labels.shape} does not match cube "
                          f"{expect_shape}")
-    return np.frombuffer(raw, dtype="<u2", offset=12).reshape(h, w).astype(np.int64)
+    return labels.astype(np.int64)
 
 
 # -- label splitting -----------------------------------------------------------

@@ -68,7 +68,7 @@ def stick_breaking(v: Tensor) -> SimplexBatch:
         raise DomainError("stick fractions must lie within (0, 1)")
     batch = v.shape[0]
     ones = Tensor(np.ones((batch, 1)))
-    v_ext = ad.concat([v, ones], axis=1)
+    v_ext = ad.concat([v, ones])
     remainder = ad.cumprod(1.0 - v_ext)
     return SimplexBatch(v_ext * remainder)
 

@@ -126,7 +126,7 @@ def _op_checks(seed: int):
     wshp = rng.standard_normal((4, 12))
     yield ("reshape-transpose-concat", 1e-6,
            lambda: ad.reduce_sum(ad.reshape(ad.transpose(
-               ad.concat([shp, shp], axis=0), (2, 0, 1)), (4, 12)) * Tensor(wshp)),
+               ad.concat([shp, shp]), (2, 0, 1)), (4, 12)) * Tensor(wshp)),
            [shp])
 
     cx = Tensor(rng.standard_normal((2, 2, 4, 5, 5)))
@@ -157,11 +157,11 @@ def _op_checks(seed: int):
     def grown_prefix():
         # a channels-last buffer: the second call finds its first piece in place
         buf = np.empty((2, 2, 3, 6)).transpose(0, 3, 1, 2)
-        head = ad.concat_into([pre], buf[:, :3])
-        both = ad.concat_into([head, piece], buf[:, :5])
+        head = ad.concat([pre], buf[:, :3])
+        both = ad.concat([head, piece], buf[:, :5])
         return ad.reduce_sum(head * Tensor(wpre)) + ad.reduce_sum(both * Tensor(wboth))
 
-    yield ("concat_into", 1e-6, grown_prefix, [pre, piece])
+    yield ("concat-prefix", 1e-6, grown_prefix, [pre, piece])
 
 
 def op_suite(seeds=range(10), tol_override: float | None = None):

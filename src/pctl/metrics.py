@@ -135,9 +135,8 @@ def domain_overlap_score(proj_source: np.ndarray, labels_source: np.ndarray,
         direction = diff / dist
         xs = ps @ direction
         xt = pt @ direction
-        ns, nt = xs.size, xt.size
-        pooled_var = ((ns - 1) * xs.var(ddof=1) + (nt - 1) * xt.var(ddof=1)) / \
-            max(ns + nt - 2, 1)
-        pooled = float(np.sqrt(pooled_var))
+        # the pooled sum of squared deviations, defined for one point per domain
+        squares = sum(((v - v.mean()) ** 2).sum() for v in (xs, xt))
+        pooled = float(np.sqrt(squares / max(xs.size + xt.size - 2, 1)))
         scores[int(cls)] = dist / pooled if pooled > 0 else float("inf")
     return scores

@@ -38,7 +38,7 @@ class MiDiscriminator:
         if x.shape[0] != a.shape[0]:
             raise DimensionError(
                 f"batch sizes differ: pixels {x.shape[0]}, abundances {a.shape[0]}")
-        return self.dense1(self.dense0(ad.concat([x, a.values], axis=1)))
+        return self.dense1(self.dense0(ad.concat([x, a.values])))
 
     def parameters(self):
         out = [(f"dense0.{n}", t) for n, t in self.dense0.parameters()]

@@ -9,7 +9,6 @@ from pctl.autodiff import (
     clamp,
     batch_norm,
     concat,
-    concat_into,
     conv3d,
     cumprod,
     exp,
@@ -398,39 +397,47 @@ class TestShapeOps:
         rng = np.random.default_rng(17)
         a = Tensor(rng.standard_normal((2, 3, 4)))
         b = Tensor(rng.standard_normal((2, 3, 4)))
-        w = rng.standard_normal((2, 8, 3))
+        w = rng.standard_normal((2, 4, 6))
 
         def loss():
-            joined = concat([a, b], axis=2)
+            joined = concat([a, b])
             moved = transpose(joined, (0, 2, 1))
             return reduce_sum(moved * Tensor(w))
 
         assert fd_check(loss, [a, b]) < 1e-6
         c = Tensor(rng.standard_normal((6, 4)))
-        w2 = Tensor(w[0, :, :].reshape(2, 12))
+        w2 = Tensor(w[0].reshape(2, 12))
         assert fd_check(lambda: reduce_sum(reshape(c, (2, 12)) * w2), [c]) < 1e-6
 
+    def test_concat_without_out_joins_into_a_fresh_array(self):
+        rng = np.random.default_rng(23)
+        a = Tensor(rng.standard_normal((2, 1, 3)))
+        b = Tensor(rng.standard_normal((2, 2, 3)))
+        joined = concat([a, b])
+        npt.assert_array_equal(joined.data, np.concatenate([a.data, b.data], axis=1))
+        assert joined.data.flags.c_contiguous
+        assert not np.shares_memory(joined.data, a.data)
 
-    def test_concat_into_copies_only_what_is_not_in_place(self):
+    def test_concat_copies_only_what_is_not_in_place(self):
         rng = np.random.default_rng(19)
         buf = np.full((2, 3, 6), np.nan).transpose(0, 2, 1)  # [2, 6, 3], channels-last
         a = Tensor(rng.standard_normal((2, 2, 3)))
-        head = concat_into([a], buf[:, :2])
+        head = concat([a], buf[:, :2])
         assert head.data.base is buf.base
         npt.assert_array_equal(buf[:, :2], a.data)
         buf[:, :2] += 1.0  # a piece found in place is not copied again
         b = Tensor(rng.standard_normal((2, 3, 3)))
-        both = concat_into([head, b], buf[:, :5])
+        both = concat([head, b], buf[:, :5])
         npt.assert_array_equal(both.data, np.concatenate([a.data + 1.0, b.data], axis=1))
         assert np.isnan(buf[:, 5]).all()
 
-    def test_concat_into_gradient_splits_by_channel(self):
+    def test_concat_gradient_splits_by_channel(self):
         rng = np.random.default_rng(21)
         a = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal((2, 1, 3)), requires_grad=True)
         w = rng.standard_normal((2, 3, 3))
         with fresh_tape():
-            reduce_sum(concat_into([a, b], np.empty((2, 3, 3))) * Tensor(w)).backward()
+            reduce_sum(concat([a, b], np.empty((2, 3, 3))) * Tensor(w)).backward()
         npt.assert_array_equal(a.grad, w[:, :2])
         npt.assert_array_equal(b.grad, w[:, 2:])
 
@@ -439,9 +446,9 @@ class TestShapeOps:
         ([(2, 2, 3), (1, 1, 3)], (2, 3, 3)),
         ([(2, 2, 3)], (2, 3, 3)),
     ])
-    def test_concat_into_rejects_pieces_that_do_not_fill_out(self, shapes, out):
-        with pytest.raises(DimensionError, match="concat_into"):
-            concat_into([Tensor(np.ones(s)) for s in shapes], np.empty(out))
+    def test_concat_rejects_pieces_that_do_not_fill_out(self, shapes, out):
+        with pytest.raises(DimensionError, match="concat"):
+            concat([Tensor(np.ones(s)) for s in shapes], np.empty(out))
 
 
 class TestOverwrite:

@@ -113,7 +113,7 @@ def concat_logits(clf, x, train):
     for each block, and no memory reused."""
     feats = [x]
     for block in clf.blocks:
-        inp = feats[0] if len(feats) == 1 else ad.concat(feats, axis=1)
+        inp = feats[0] if len(feats) == 1 else ad.concat(feats)
         y = ad.conv3d(inp, block.kernels, padding=block.padding)
         feats.append(ad.relu(block.bn(y, train)))
     flat = ad.reshape(feats[-1], (x.shape[0], -1))

@@ -309,13 +309,13 @@ class TestTrain:
                                     "--target", str(scene / "data/target.hsic"),
                                     "--out", str(out)] + TRAIN_OVERRIDES
                            + ["--set", f"train.{key}=0"])
-        assert not list(out.glob("model*.pctl"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting", [
         "train.learning_rate=-1", "train.learning_rate=nan", "train.alpha=nan",
         "train.eval_every=-1", "train.eval_every=0", "train.seed=-1", "train.variant=bogus",
         # a checkpoint stores the seed as float64, which would round this one
-        "train.seed=9007199254740993",
+        "train.seed=9007199254740993", "model.patch_size=2",
         "model.encoder_hidden=-2 3", "model.block_channels=-1 2 2 2 2",
         "model.encoder_hidden=0 3", "model.block_channels=0 0 0 0 0"])
     def test_a_bad_rate_or_width_exits_2(self, scene, tmp_path, capsys, setting):
@@ -324,7 +324,7 @@ class TestTrain:
                                     "--target", str(scene / "data/target.hsic"),
                                     "--out", str(out)] + TRAIN_OVERRIDES
                            + ["--set", setting])
-        assert not list(out.glob("model*.pctl"))
+        assert not out.exists()
 
     def test_a_target_without_labeled_pixels_is_not_scored(self, scene, tmp_path, capsys):
         out = tmp_path / "run"
@@ -357,6 +357,18 @@ class TestTrain:
                                           "--target", str(scene / "data/target.hsic"),
                                           "--out", str(out), "--set", "synth.seed=99"])
         assert "unknown section 'synth'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("value", ["0", "nan", "1.5"])
+    def test_a_label_fraction_outside_zero_one_exits_2(self, scene, tmp_path, capsys,
+                                                        command, value):
+        out = tmp_path / "x"
+        err = assert_usage_error(capsys, [command, "--source", str(scene / "data/source.hsic"),
+                                          "--target", str(scene / "data/target.hsic"),
+                                          "--out", str(out)] + TRAIN_OVERRIDES
+                                 + ["--set", f"train.label_fraction={value}"])
+        assert "label_fraction" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["classifier_only", "shared_decoder_only",

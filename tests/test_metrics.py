@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -189,3 +191,17 @@ class TestDomainOverlap:
             scores = domain_overlap_score(src, np.repeat([1, 2], 10),
                                           tgt, np.repeat(1, 10))
         assert set(scores) == {1}
+
+    def test_one_point_in_a_domain_pools_the_other_domains_spread(self):
+        rng = np.random.default_rng(11)
+        src = np.array([[3.0, 0.0]])
+        tgt = rng.standard_normal((50, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = domain_overlap_score(src, np.ones(1, dtype=int),
+                                          tgt, np.ones(50, dtype=int))
+        diff = tgt.mean(axis=0) - src[0]
+        along = tgt @ (diff / np.linalg.norm(diff))
+        expected = np.linalg.norm(diff) / np.sqrt(((along - along.mean()) ** 2).sum() / 49)
+        assert np.isfinite(scores[1])
+        npt.assert_allclose(scores[1], expected, rtol=1e-12)

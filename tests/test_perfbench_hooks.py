@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from pctl import trainer
+from pctl.autodiff import Tensor
+from pctl.classifier import Classifier3d
 from pctl.data import SynthSpec, generate_synthetic_pair
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -65,3 +67,18 @@ def test_traced_training_computes_what_untraced_training_does(tmp_path):
                  "classifier.block4.fwd_ms", "decoder.decode.bwd_ms"):
         assert figures[name]["value"] > 0.0, name
     assert np.isfinite([f["value"] for f in figures.values()]).all()
+
+
+def test_each_dense_buffer_copy_is_a_traced_concat():
+    """``Classifier3d.logits`` copies the input and every block output but the
+    last into its dense buffer through ``autodiff.concat``, which the tracer
+    times as one ``autodiff.concat.fwd`` span each."""
+    cfg = trainer.ModelConfig(bands=4, num_classes=2, abundance_dim=3, patch_size=3,
+                              block_channels=[2, 2, 2, 2, 2])
+    x = Tensor(np.random.default_rng(0).uniform(0.1, 1.0, (2, 1, 3, 3, 3)))
+    with tracing.Tracer() as tracer:
+        # built under the tracer, which learns the block names at construction
+        clf = Classifier3d(cfg, np.random.default_rng(1), np.random.default_rng(2))
+        clf.logits(x, train=False)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("autodiff.concat.fwd") == len(cfg.block_channels) - 1

@@ -75,7 +75,8 @@ class TestConfigs:
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", -1.0), ("learning_rate", 0.0), ("learning_rate", np.nan),
         ("learning_rate", np.inf), ("alpha", np.nan), ("mi_weight", np.inf),
-        ("eval_every", -1), ("eval_every", 0), ("seed", -1)])
+        ("eval_every", -1), ("eval_every", 0), ("seed", -1), ("label_fraction", 0.0),
+        ("label_fraction", 1.5), ("label_fraction", np.nan)])
     def test_bad_rates_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             TrainConfig(**{key: value})
