@@ -6,6 +6,11 @@ topological order by construction; ``backward`` replays the tape in reverse,
 visiting each reachable node exactly once and accumulating gradients into
 ``Tensor.grad``. The graph is rebuilt from scratch on every training step.
 
+A tape serves one backward pass. It drops each node once the node's backward
+rule has run, and clears that node output's gradient, so reverse mode holds
+only what it still needs. Afterwards only leaves keep ``.grad``: parameters
+and tensors made with ``requires_grad=True``.
+
 Most ops are primitives. ``conv3d`` and ``batch_norm`` are each one node with
 a backward rule of their own, which keeps fewer arrays alive than the chain
 of primitives computing the same values would.
@@ -45,14 +50,22 @@ class Tape:
     """Ordered record of operations; owned by a single training session."""
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.nodes: list[Optional[Node]] = []
+        self.spent = False
 
     def record(self, node: Node) -> int:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
     def backward(self, loss: "Tensor") -> None:
-        """Accumulate d(loss)/d(leaf) into .grad of every reachable tensor."""
+        """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf.
+
+        A tape serves one backward pass. Each node is dropped as soon as its
+        rule has run, which frees the arrays its closure saved, and its
+        output's gradient is cleared: only leaves keep ``.grad`` afterwards.
+        """
+        if self.spent:
+            raise ContractError("this tape already ran a backward pass")
         if loss.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.shape}"
@@ -60,6 +73,7 @@ class Tape:
         if loss.node_id is None or loss.node_id >= len(self.nodes) \
                 or self.nodes[loss.node_id].out is not loss:
             raise ContractError("loss tensor is not recorded on this tape")
+        self.spent = True
 
         if loss.grad is None:
             loss.grad = np.zeros_like(loss.data)
@@ -69,9 +83,11 @@ class Tape:
         # has none is not on a path to the loss and is skipped.
         for nid in range(loss.node_id, -1, -1):
             node = self.nodes[nid]
+            self.nodes[nid] = None
             gout = node.out.grad
             if gout is None:
                 continue
+            node.out.grad = None
             for parent, g in zip(node.parents, node.backward_fn(gout)):
                 if g is None or not parent.requires_grad:
                     continue

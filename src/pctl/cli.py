@@ -25,6 +25,7 @@ from .metrics import confusion, domain_overlap_score, oa_aa_kappa, svd_project_2
 from .trainer import (
     ABLATION_VARIANTS,
     ModelState,
+    check_ablation,
     format_metrics_csv,
     load_checkpoint,
     predict,
@@ -207,6 +208,7 @@ def cmd_ablate(args) -> int:
     cfg = RunConfig(args.config, args.set, sections=("train", "model"))
     train_cfg = cfg.train_config()
     model_cfg = cfg.model_config(bands=source.bands, num_classes=source.num_classes())
+    check_ablation(train_cfg, target, args.variants)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = run_ablation(model_cfg, train_cfg, source, target, variants=args.variants)

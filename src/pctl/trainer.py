@@ -350,10 +350,8 @@ def evaluate(state: ModelState, cube: HsiCube):
 
 # -- ablation -----------------------------------------------------------------------
 
-def run_ablation(model_cfg: ModelConfig, base_cfg: TrainConfig,
-                 source: HsiCube, target: HsiCube,
-                 variants=ABLATION_VARIANTS):
-    """Train each variant on the same data and seed; returns comparison rows.
+def check_ablation(base_cfg: TrainConfig, target: HsiCube, variants) -> None:
+    """Refuse an ablation request before anything is trained or written.
 
     A variant's scores are those of its final training evaluation, which
     covers every labeled pixel of both domains, so the target needs labeled
@@ -367,6 +365,16 @@ def run_ablation(model_cfg: ModelConfig, base_cfg: TrainConfig,
                           "evaluation; train.epochs must be >= 1")
     if len(set(variants)) < len(variants):
         raise ConfigError(f"ablation names a variant twice: {', '.join(variants)}")
+
+
+def run_ablation(model_cfg: ModelConfig, base_cfg: TrainConfig,
+                 source: HsiCube, target: HsiCube,
+                 variants=ABLATION_VARIANTS):
+    """Train each variant on the same data and seed; returns comparison rows.
+
+    The request is checked by ``check_ablation`` first.
+    """
+    check_ablation(base_cfg, target, variants)
     cfgs = [replace(base_cfg, variant=name) for name in variants]
     rows = []
     for name, cfg in zip(variants, cfgs):

@@ -550,6 +550,25 @@ class TestBackward:
         g1, g2 = run(), run()
         assert np.array_equal(g1, g2)
 
+    def test_second_backward_on_a_tape_rejected(self):
+        w = Tensor([1.0, -2.0], requires_grad=True)
+        with fresh_tape():
+            loss = reduce_sum(w * w)
+            loss.backward()
+            with pytest.raises(ContractError, match="already ran a backward"):
+                loss.backward()
+        npt.assert_array_equal(w.grad, [2.0, -4.0])
+
+    def test_only_leaves_keep_a_gradient(self):
+        w = Tensor([1.0, -2.0], requires_grad=True)
+        with fresh_tape() as tape:
+            sq = w * w
+            loss = reduce_sum(sq)
+            loss.backward()
+        assert sq.grad is None and loss.grad is None
+        assert all(node is None for node in tape.nodes)
+        npt.assert_array_equal(w.grad, [2.0, -4.0])
+
     def test_topological_tape_order(self):
         a = Tensor([1.0], requires_grad=True)
         with fresh_tape() as tape:

@@ -172,6 +172,29 @@ class TestDenseBuffer:
             tracemalloc.stop()
         assert peak < 3 * buffer_bytes, (peak, buffer_bytes)
 
+    def test_backward_peak_stays_near_the_forward(self):
+        """One training step at patch 3 and batch 64: the backward frees each
+        node's saved arrays and interior gradient once it has used them, so
+        its peak stays below 1.5 times what the forward left live."""
+        import tracemalloc
+
+        cfg = ModelConfig(bands=10, num_classes=4, patch_size=3)
+        clf = classifier(cfg, seed=15)
+        x = random_abundance_patch(np.random.default_rng(16), 64, cfg.abundance_dim, 3)
+        labels = Tensor(one_hot(np.arange(64) % 4, 4))
+        tracemalloc.start()
+        try:
+            with fresh_tape():
+                loss = classification_loss(clf.logits(x, train=True), labels)
+                live = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                loss.backward()
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clf.head.weight.grad is not None
+        assert peak < 1.5 * live, (peak, live)
+
 
 # (height, width, patch size): maps 1-8 px a side, patches 1-23
 MAP_SWEEP = [(h, w, p) for h in range(1, 9) for w in range(1, 9) for p in range(1, 24, 2)]

@@ -12,6 +12,7 @@ import numpy.testing as npt
 import pytest
 
 import pctl
+from pctl import trainer
 from pctl.cli import main
 from pctl.config import SECTIONS, ModelConfig, RunConfig, resolved_text, settable
 from pctl.data import HsiCube, SynthSpec, read_cube, read_labels, write_cube, write_labels
@@ -589,8 +590,7 @@ class TestAblateCommand:
         assert_usage_error(capsys, ["ablate", "--source", str(scene / "data/source.hsic"),
                                     "--target", str(target), "--out", str(out)]
                            + TRAIN_OVERRIDES)
-        assert not list(out.glob("model-*.pctl"))
-        assert not (out / "resolved-config.txt").exists()
+        assert not out.exists()
 
     def test_a_target_without_labeled_pixels_exits_2(self, scene, tmp_path, capsys):
         out = tmp_path / "ablate"
@@ -598,8 +598,7 @@ class TestAblateCommand:
                                           "--target", str(without_labeled_pixels(scene, tmp_path)),
                                           "--out", str(out)] + TRAIN_OVERRIDES)
         assert "no labeled pixels" in err
-        assert not list(out.glob("model-*.pctl"))
-        assert not (out / "resolved-config.txt").exists()
+        assert not out.exists()
 
     def test_zero_epochs_exits_2(self, scene, tmp_path, capsys):
         out = tmp_path / "ablate"
@@ -607,8 +606,29 @@ class TestAblateCommand:
                                     "--target", str(scene / "data/target.hsic"),
                                     "--out", str(out)]
                            + TRAIN_OVERRIDES + ["--set", "train.epochs=0"])
-        assert not list(out.glob("model-*.pctl"))
-        assert not (out / "resolved-config.txt").exists()
+        assert not out.exists()
+
+    def test_a_variant_named_twice_exits_2(self, scene, tmp_path, capsys):
+        out = tmp_path / "ablate"
+        err = assert_usage_error(capsys, ["ablate", "--source", str(scene / "data/source.hsic"),
+                                          "--target", str(scene / "data/target.hsic"),
+                                          "--out", str(out), "--variants", "full", "full"]
+                                 + TRAIN_OVERRIDES)
+        assert "variant twice" in err
+        assert not out.exists()
+
+    def test_an_unusable_out_exits_2_before_training(self, scene, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate trained before creating --out")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        a_file = tmp_path / "file"
+        a_file.write_text("")
+        err = assert_usage_error(capsys, ["ablate", "--source", str(scene / "data/source.hsic"),
+                                          "--target", str(scene / "data/target.hsic"),
+                                          "--out", str(a_file)] + TRAIN_OVERRIDES)
+        assert str(a_file) in err
 
 
 class TestUnusablePaths:
